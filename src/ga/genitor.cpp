@@ -1,10 +1,12 @@
 #include "ga/genitor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
 #include "ga/operators.hpp"
 #include "ga/population.hpp"
+#include "heuristics/fastpath/etc_view.hpp"
 #include "heuristics/minmin.hpp"
 #include "obs/counters.hpp"
 
@@ -29,29 +31,43 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
   }
   rng::Rng rng(config_.seed);
 
-  Population population(config_.population_size, config_.selection_bias);
-  if (seed != nullptr) {
-    Chromosome c = Chromosome::from_schedule(problem, *seed);
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
-  }
+  // One gather per call; every evaluation below reads this contiguous table.
+  const heuristics::fastpath::EtcView view(problem);
+  Fitness fitness(view.cells(), problem.initial_ready_times());
+  Population population(config_.population_size, problem.num_tasks(),
+                        config_.selection_bias);
+  const auto rank = [&](std::size_t slot) {
+    population.insert(slot, fitness(population.genes(slot)));
+  };
+  const auto copy_of = [&](std::size_t parent) {
+    const std::size_t slot = population.acquire();
+    const auto genes = population.genes(parent);
+    std::copy(genes.begin(), genes.end(), population.genes(slot).begin());
+    return slot;
+  };
+
+  const auto add_mapping = [&](const Schedule& mapping) {
+    const std::size_t slot = population.acquire();
+    encode(problem, mapping, population.genes(slot));
+    rank(slot);
+  };
+
+  if (seed != nullptr) add_mapping(*seed);
   if (config_.seed_with_minmin) {
     heuristics::MinMin minmin;
     rng::TieBreaker det;  // deterministic ties for the seed mapping
-    Chromosome c = Chromosome::from_schedule(problem, minmin.map(problem, det));
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
+    add_mapping(minmin.map(problem, det));
   }
   while (population.size() < config_.population_size) {
-    Chromosome c = Chromosome::random(problem, rng);
-    const double fit = c.evaluate(problem);
-    population.insert(Member{std::move(c), fit});
+    const std::size_t slot = population.acquire();
+    randomize(population.genes(slot), problem.num_machines(), rng);
+    rank(slot);
   }
 
   last_run_ = RunStats{};
-  last_run_.initial_best = population.best().makespan;
+  last_run_.initial_best = population.best_makespan();
 
-  double best = population.best().makespan;
+  double best = population.best_makespan();
   std::size_t stale = 0;
   for (std::size_t step = 0; step < config_.total_steps; ++step) {
     // Anytime contract: a cancelled budget stops evolution within one
@@ -59,25 +75,26 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     if (core::cancellation_requested()) break;
     ++last_run_.steps_executed;
     HCSCHED_COUNT(obs::Counter::kGaSteps);
-    // Crossover trial (Figure 1, step 3a).
+    // Crossover trial (Figure 1, step 3a): both offspring are written into
+    // free slots before either is ranked.
     HCSCHED_COUNT(obs::Counter::kGaCrossovers);
-    const Member& pa = population.at(population.select_rank(rng));
-    const Member& pb = population.at(population.select_rank(rng));
-    auto [oa, ob] = crossover(pa.chromosome, pb.chromosome, rng);
-    const double fa = oa.evaluate(problem);
-    const double fb = ob.evaluate(problem);
-    population.insert(Member{std::move(oa), fa});
-    population.insert(Member{std::move(ob), fb});
+    const std::size_t pa = population.slot_at(population.select_rank(rng));
+    const std::size_t pb = population.slot_at(population.select_rank(rng));
+    const std::size_t oa = copy_of(pa);
+    const std::size_t ob = copy_of(pb);
+    crossover(population.genes(oa), population.genes(ob), rng);
+    rank(oa);
+    rank(ob);
 
     // Mutation trial (Figure 1, step 3b).
     HCSCHED_COUNT(obs::Counter::kGaMutations);
-    Chromosome mutant = population.at(population.select_rank(rng)).chromosome;
-    mutate(mutant, problem.num_machines(), rng);
-    const double fm = mutant.evaluate(problem);
-    population.insert(Member{std::move(mutant), fm});
+    const std::size_t mutant =
+        copy_of(population.slot_at(population.select_rank(rng)));
+    mutate(population.genes(mutant), problem.num_machines(), rng);
+    rank(mutant);
 
-    if (population.best().makespan < best) {
-      best = population.best().makespan;
+    if (population.best_makespan() < best) {
+      best = population.best_makespan();
       ++last_run_.improvements;
       stale = 0;
     } else if (config_.stop_after_stale != 0 &&
@@ -85,10 +102,10 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
       break;
     }
   }
-  last_run_.final_best = population.best().makespan;
+  last_run_.final_best = population.best_makespan();
 
   (void)ties;  // Genitor's stochastic decisions come from its own stream.
-  return population.best().chromosome.decode(problem);
+  return decode(problem, population.genes(population.slot_at(0)));
 }
 
 }  // namespace hcsched::ga

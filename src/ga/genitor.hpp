@@ -13,7 +13,7 @@
 // improves or keeps the mapping rests exactly on this seeding plus elitism.
 #pragma once
 
-#include "ga/population.hpp"
+#include "ga/chromosome.hpp"
 #include "heuristics/heuristic.hpp"
 
 namespace hcsched::ga {

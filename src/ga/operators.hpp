@@ -4,8 +4,12 @@
 // the tasks below the cut are exchanged between the two parents, producing
 // two offspring. Mutation: a random task's machine assignment is replaced by
 // a uniformly random machine slot.
+//
+// Each operator is implemented once, in place over gene spans (Genitor runs
+// them on its population slab); the Chromosome overloads forward to them.
 #pragma once
 
+#include <span>
 #include <utility>
 
 #include "ga/chromosome.hpp"
@@ -13,17 +17,27 @@
 
 namespace hcsched::ga {
 
-/// Single-point crossover. The cut is drawn from [1, n-1] so both offspring
-/// mix genes from both parents (for n < 2 the parents are returned
-/// unchanged).
+/// Single-point crossover in place: `x` and `y` hold copies of the parents
+/// and leave as the offspring. The cut is drawn from [1, n-1] and the genes
+/// below it are swapped, so both offspring mix genes from both parents (for
+/// n < 2 nothing is drawn or changed). Throws on a length mismatch.
+void crossover(std::span<std::uint32_t> x, std::span<std::uint32_t> y,
+               rng::Rng& rng);
+
+/// Single-point crossover of two chromosomes into two new offspring.
 std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,
                                             const Chromosome& b,
                                             rng::Rng& rng);
 
-/// In-place point mutation; returns the index of the mutated gene (or npos
-/// for an empty chromosome).
-std::size_t mutate(Chromosome& c, std::size_t num_machine_slots,
-                   rng::Rng& rng);
+/// In-place point mutation; returns the index of the mutated gene (or npos,
+/// drawing nothing, for empty genes or no slots).
+std::size_t mutate(std::span<std::uint32_t> genes,
+                   std::size_t num_machine_slots, rng::Rng& rng);
+
+inline std::size_t mutate(Chromosome& c, std::size_t num_machine_slots,
+                          rng::Rng& rng) {
+  return mutate(std::span<std::uint32_t>(c.genes()), num_machine_slots, rng);
+}
 
 inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 

@@ -5,47 +5,83 @@
 // removed — Genitor's defining steady-state replacement. Parent selection
 // uses Whitley's linear-rank bias: rank-based allocation of reproductive
 // trials is the core idea of the Genitor paper [17].
+//
+// Storage never moves a chromosome. Genes live in one slab of
+// (capacity + 2) fixed rows ("slots") of num_genes machine slots each: room
+// for a full population plus the two offspring of a crossover before they
+// are ranked. Ranking touches only an array of (makespan, slot) pairs. A
+// new member goes in front of any members of equal makespan
+// (std::lower_bound); on overflow the last rank is evicted and its slot
+// returns to a free-slot stack, from which acquire() hands out rows for new
+// members.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "ga/chromosome.hpp"
+#include "core/check.hpp"
 #include "rng/rng.hpp"
 
 namespace hcsched::ga {
 
-struct Member {
-  Chromosome chromosome{};
-  double makespan = 0.0;
-};
-
 class Population {
  public:
-  /// Fixed-capacity population; `bias` in [1, 2] controls selection pressure
-  /// (1 = uniform, 2 = maximal preference for good ranks).
-  explicit Population(std::size_t capacity, double bias = 1.5);
+  /// Fixed-capacity population of `num_genes`-gene members; `bias` in
+  /// [1, 2] controls selection pressure (1 = uniform, 2 = maximal
+  /// preference for good ranks).
+  Population(std::size_t capacity, std::size_t num_genes, double bias = 1.5);
 
-  /// Inserts by rank; drops the worst member when above capacity. Returns
-  /// true when the member survived insertion (i.e. was not immediately the
-  /// overflow victim).
-  bool insert(Member member);
+  /// Takes a free slot for a new member and returns it; write its genes via
+  /// genes(slot), then rank it with insert(). Throws std::logic_error when
+  /// every slot is live or already held (at most two may be held while the
+  /// population is full).
+  std::size_t acquire();
 
-  /// Rank-biased parent index (0 = best).
+  /// Gene row of `slot` (valid for held and live slots).
+  std::span<std::uint32_t> genes(std::size_t slot) {
+    HCSCHED_PRECONDITION(slot < held_.size(), "Population::genes: slot ",
+                         slot, " out of ", held_.size());
+    return {slab_.data() + slot * num_genes_, num_genes_};
+  }
+  std::span<const std::uint32_t> genes(std::size_t slot) const {
+    HCSCHED_PRECONDITION(slot < held_.size(), "Population::genes: slot ",
+                         slot, " out of ", held_.size());
+    return {slab_.data() + slot * num_genes_, num_genes_};
+  }
+
+  /// Ranks the held `slot` with `makespan`, ahead of members of equal
+  /// makespan; evicts the worst member when above capacity. Returns true
+  /// when the new member survived insertion (i.e. was not immediately the
+  /// overflow victim). Throws std::logic_error for a slot not held.
+  bool insert(std::size_t slot, double makespan);
+
+  /// Rank-biased parent rank (0 = best).
   std::size_t select_rank(rng::Rng& rng) const;
 
-  const Member& best() const { return members_.front(); }
-  const Member& worst() const { return members_.back(); }
-  const Member& at(std::size_t rank) const { return members_[rank]; }
+  std::size_t slot_at(std::size_t rank) const { return ranks_[rank].slot; }
+  double makespan_at(std::size_t rank) const { return ranks_[rank].makespan; }
+  double best_makespan() const { return ranks_.front().makespan; }
+  double worst_makespan() const { return ranks_.back().makespan; }
 
-  std::size_t size() const noexcept { return members_.size(); }
+  std::size_t size() const noexcept { return ranks_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
   double bias() const noexcept { return bias_; }
 
  private:
+  struct Ranked {
+    double makespan;
+    std::size_t slot;
+  };
+
   std::size_t capacity_;
+  std::size_t num_genes_;
   double bias_;
-  std::vector<Member> members_{};  // sorted ascending by makespan
+  std::vector<std::uint32_t> slab_{};
+  std::vector<Ranked> ranks_{};      // sorted ascending by makespan
+  std::vector<std::size_t> free_{};  // stack of unused slots
+  std::vector<char> held_{};         // acquired, not yet inserted
 };
 
 }  // namespace hcsched::ga

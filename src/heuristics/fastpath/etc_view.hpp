@@ -50,6 +50,9 @@ class EtcView {
     return std::span<const double>(data_).subspan(task_pos * slots_, slots_);
   }
 
+  /// Every row, back to back: row(p) is cells()[p * num_slots(), ...).
+  std::span<const double> cells() const noexcept { return data_; }
+
  private:
   std::size_t tasks_ = 0;
   std::size_t slots_ = 0;

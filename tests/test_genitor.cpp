@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "etc/cvb_generator.hpp"
 #include "ga/operators.hpp"
+#include "ga/population.hpp"
 #include "heuristics/minmin.hpp"
 #include "sched/validate.hpp"
 
@@ -15,7 +20,6 @@ using hcsched::etc::EtcMatrix;
 using hcsched::ga::Chromosome;
 using hcsched::ga::Genitor;
 using hcsched::ga::GenitorConfig;
-using hcsched::ga::Member;
 using hcsched::ga::Population;
 using hcsched::rng::Rng;
 using hcsched::rng::TieBreaker;
@@ -95,27 +99,109 @@ TEST(Operators, MutateChangesExactlyOneGeneSlot) {
   EXPECT_LT(c.genes()[idx], 5u);
 }
 
+/// Acquires a slot, writes `gene` into its one-gene row and ranks it.
+bool add(Population& pop, double makespan, std::uint32_t gene = 0) {
+  const std::size_t slot = pop.acquire();
+  pop.genes(slot)[0] = gene;
+  return pop.insert(slot, makespan);
+}
+
 TEST(Population, KeepsSortedAndBounded) {
-  Population pop(3);
-  pop.insert(Member{Chromosome({0}), 5.0});
-  pop.insert(Member{Chromosome({0}), 2.0});
-  pop.insert(Member{Chromosome({0}), 8.0});
-  EXPECT_DOUBLE_EQ(pop.best().makespan, 2.0);
-  EXPECT_DOUBLE_EQ(pop.worst().makespan, 8.0);
+  Population pop(3, 1);
+  add(pop, 5.0);
+  add(pop, 2.0);
+  add(pop, 8.0);
+  EXPECT_DOUBLE_EQ(pop.best_makespan(), 2.0);
+  EXPECT_DOUBLE_EQ(pop.worst_makespan(), 8.0);
   // Overflow: inserting 1.0 evicts 8.0.
-  EXPECT_TRUE(pop.insert(Member{Chromosome({0}), 1.0}));
+  EXPECT_TRUE(add(pop, 1.0));
   EXPECT_EQ(pop.size(), 3u);
-  EXPECT_DOUBLE_EQ(pop.best().makespan, 1.0);
-  EXPECT_DOUBLE_EQ(pop.worst().makespan, 5.0);
+  EXPECT_DOUBLE_EQ(pop.best_makespan(), 1.0);
+  EXPECT_DOUBLE_EQ(pop.worst_makespan(), 5.0);
   // Inserting something worse than the worst dies immediately.
-  EXPECT_FALSE(pop.insert(Member{Chromosome({0}), 9.0}));
-  EXPECT_DOUBLE_EQ(pop.worst().makespan, 5.0);
+  EXPECT_FALSE(add(pop, 9.0));
+  EXPECT_DOUBLE_EQ(pop.worst_makespan(), 5.0);
+  for (std::size_t r = 1; r < pop.size(); ++r) {
+    EXPECT_LE(pop.makespan_at(r - 1), pop.makespan_at(r));
+  }
+}
+
+TEST(Population, NewMemberRanksAheadOfEqualMakespans) {
+  Population pop(4, 1);
+  add(pop, 3.0, 10);
+  add(pop, 3.0, 11);
+  add(pop, 1.0, 12);
+  add(pop, 3.0, 13);
+  // Ties: the latest insertion holds the first of the equal ranks.
+  const std::uint32_t expected[] = {12, 13, 11, 10};
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(pop.genes(pop.slot_at(r))[0], expected[r]) << "rank " << r;
+  }
+  // An equal-makespan overflow evicts the oldest of the tied members, and
+  // the newcomer survives.
+  EXPECT_TRUE(add(pop, 3.0, 14));
+  EXPECT_EQ(pop.genes(pop.slot_at(1))[0], 14u);
+  EXPECT_EQ(pop.genes(pop.slot_at(3))[0], 11u);
+}
+
+TEST(Population, EvictedSlotIsReused) {
+  Population pop(2, 3);
+  add(pop, 1.0);
+  add(pop, 2.0);
+  const std::size_t worst_slot = pop.slot_at(1);
+  EXPECT_TRUE(add(pop, 1.5));  // evicts the 2.0 member
+  EXPECT_EQ(pop.acquire(), worst_slot);
+  // A member that is its own overflow victim frees its slot at once.
+  const std::size_t loser = pop.acquire();
+  EXPECT_FALSE(pop.insert(loser, 9.0));
+  EXPECT_EQ(pop.acquire(), loser);
+}
+
+TEST(Population, LiveSlotsAreNeverAliased) {
+  constexpr std::size_t kCapacity = 5;
+  Population pop(kCapacity, 2);
+  Rng rng(10);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t a = pop.acquire();
+    const std::size_t b = pop.acquire();
+    std::set<std::size_t> live;
+    for (std::size_t r = 0; r < pop.size(); ++r) live.insert(pop.slot_at(r));
+    EXPECT_EQ(live.size(), pop.size());
+    EXPECT_NE(a, b);
+    EXPECT_FALSE(live.count(a) || live.count(b));
+    EXPECT_LT(std::max(a, b), kCapacity + 2);
+    // Write distinct genes to the held rows and check no live row moved.
+    std::vector<std::uint32_t> before;
+    for (std::size_t r = 0; r < pop.size(); ++r) {
+      before.push_back(pop.genes(pop.slot_at(r))[0]);
+    }
+    pop.genes(a)[0] = 1000u + static_cast<std::uint32_t>(i);
+    pop.genes(b)[0] = 2000u + static_cast<std::uint32_t>(i);
+    for (std::size_t r = 0; r < pop.size(); ++r) {
+      EXPECT_EQ(pop.genes(pop.slot_at(r))[0], before[r]);
+    }
+    pop.insert(a, static_cast<double>(rng.below(8)));
+    pop.insert(b, static_cast<double>(rng.below(8)));
+  }
+  EXPECT_EQ(pop.size(), kCapacity);
+}
+
+TEST(Population, MisuseThrows) {
+  Population pop(1, 1);
+  const std::size_t a = pop.acquire();
+  EXPECT_THROW(pop.insert(a + 1, 1.0), std::logic_error);  // never acquired
+  EXPECT_TRUE(pop.insert(a, 1.0));
+  EXPECT_THROW(pop.insert(a, 1.0), std::logic_error);  // already live
+  (void)pop.acquire();
+  (void)pop.acquire();
+  EXPECT_THROW((void)pop.acquire(), std::logic_error);  // slab exhausted
+  EXPECT_THROW(pop.insert(99, 1.0), std::logic_error);  // out of range
 }
 
 TEST(Population, SelectionPrefersGoodRanks) {
-  Population pop(50, 1.9);
+  Population pop(50, 1, 1.9);
   for (int i = 0; i < 50; ++i) {
-    pop.insert(Member{Chromosome({0}), static_cast<double>(i)});
+    add(pop, static_cast<double>(i));
   }
   Rng rng(9);
   std::size_t top_half = 0;
@@ -127,9 +213,9 @@ TEST(Population, SelectionPrefersGoodRanks) {
 }
 
 TEST(Population, RejectsBadConfig) {
-  EXPECT_THROW(Population(0), std::invalid_argument);
-  EXPECT_THROW(Population(5, 0.5), std::invalid_argument);
-  EXPECT_THROW(Population(5, 2.5), std::invalid_argument);
+  EXPECT_THROW(Population(0, 1), std::invalid_argument);
+  EXPECT_THROW(Population(5, 1, 0.5), std::invalid_argument);
+  EXPECT_THROW(Population(5, 1, 2.5), std::invalid_argument);
 }
 
 TEST(Genitor, NeverWorseThanItsMinMinSeed) {

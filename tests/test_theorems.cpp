@@ -140,6 +140,35 @@ TEST(Theorems, GenitorWithSeedingIsMonotone) {
   }
 }
 
+// The same §3.1 claim with the default GenitorConfig (100 members, 2000
+// steps): seeding plus elitism keep every iteration's makespan at or below
+// the original mapping's, at the paper's cell and well beyond it.
+void expect_default_genitor_monotone(std::size_t tasks, std::size_t machines,
+                                     std::uint64_t seed) {
+  const hcsched::ga::Genitor genitor;
+  const EtcMatrix m = continuous_matrix(seed, tasks, machines);
+  TieBreaker ties;
+  const auto result =
+      IterativeMinimizer{IterativeOptions{.use_seeding = true}}.run(
+          genitor, Problem::full(m), ties);
+  const auto report = check_monotone_makespan(result);
+  EXPECT_TRUE(report.holds) << tasks << "x" << machines << " seed " << seed
+                            << ": " << report.violation;
+  EXPECT_FALSE(result.makespan_increased()) << "seed " << seed;
+}
+
+TEST(Theorems, DefaultGenitorIsMonotoneAt512x32) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    expect_default_genitor_monotone(512, 32, seed + 700);
+  }
+}
+
+TEST(Theorems, DefaultGenitorIsMonotoneAt24x6Over50Seeds) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    expect_default_genitor_monotone(24, 6, seed + 800);
+  }
+}
+
 TEST(Theorems, CheckMonotoneDetectsViolations) {
   // Feed it a result that *does* increase: the MET paper example.
   const auto example = hcsched::core::met_example();
