@@ -81,33 +81,40 @@ void print_ct_comparison(const core::PaperExample& example,
 /// evaluated, tie-break decisions, heuristic invocations) to the benchmark's
 /// user counters, so timing rows carry their work alongside their latency.
 /// All zeros when the library is built with HCSCHED_TRACE=0.
-void attach_counter_deltas(benchmark::State& state,
-                           const obs::counters::Snapshot& before) {
-  const auto delta = obs::counters::snapshot().delta_since(before);
-  const auto per_iter = [&state](std::uint64_t total) {
+void attach_counter_deltas(benchmark::State& state, const OpCounts& before) {
+  const auto per_iter = [&state, &before](obs::Counter c) {
+    const std::uint64_t total =
+        obs::counters::read(c) - before[static_cast<std::size_t>(c)];
     return benchmark::Counter(
         static_cast<double>(total) /
         static_cast<double>(std::max<std::int64_t>(1, state.iterations())));
   };
-  state.counters["etc_cells"] =
-      per_iter(delta[obs::Counter::kEtcCellEvaluations]);
-  state.counters["tie_decisions"] = per_iter(delta[obs::Counter::kTieDecisions]);
+  state.counters["etc_cells"] = per_iter(obs::Counter::kEtcCellEvaluations);
+  state.counters["tie_decisions"] = per_iter(obs::Counter::kTieDecisions);
   state.counters["heuristic_calls"] =
-      per_iter(delta[obs::Counter::kHeuristicInvocations]);
+      per_iter(obs::Counter::kHeuristicInvocations);
 }
 
 }  // namespace
 
-void print_counter_snapshot(const obs::counters::Snapshot& delta) {
+OpCounts read_op_counts() {
+  OpCounts out{};
+  for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+    out[i] = obs::counters::read(static_cast<obs::Counter>(i));
+  }
+  return out;
+}
+
+void print_counter_deltas(const OpCounts& before) {
   if (!obs::kTraceCompiledIn) {
     std::printf("-- operation counters: compiled out (HCSCHED_TRACE=0) --\n");
     return;
   }
   TextTable table({"counter", "value"});
+  const OpCounts after = read_op_counts();
   for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
-    const auto c = static_cast<obs::Counter>(i);
-    table.add_row({std::string(obs::to_string(c)),
-                   std::to_string(delta[c])});
+    table.add_row({std::string(obs::to_string(static_cast<obs::Counter>(i))),
+                   std::to_string(after[i] - before[i])});
   }
   std::printf("-- operation counters (reproduction section) --\n%s",
               table.to_string().c_str());
@@ -151,7 +158,7 @@ void register_example_benchmarks(const core::PaperExample& example) {
       [ex](benchmark::State& state) {
         const auto heuristic = heuristics::make_heuristic(ex->heuristic);
         const sched::Problem problem = sched::Problem::full(*ex->matrix);
-        const auto before = obs::counters::snapshot();
+        const OpCounts before = read_op_counts();
         for (auto _ : state) {
           rng::TieBreaker ties;
           benchmark::DoNotOptimize(heuristic->map(problem, ties));
@@ -165,7 +172,7 @@ void register_example_benchmarks(const core::PaperExample& example) {
         const sched::Problem problem = sched::Problem::full(*ex->matrix);
         const core::IterativeMinimizer minimizer{
             core::IterativeOptions{.use_seeding = false}};
-        const auto before = obs::counters::snapshot();
+        const OpCounts before = read_op_counts();
         for (auto _ : state) {
           rng::TieBreaker ties(std::vector<std::size_t>(ex->tie_script));
           benchmark::DoNotOptimize(minimizer.run(*heuristic, problem, ties));
@@ -176,9 +183,9 @@ void register_example_benchmarks(const core::PaperExample& example) {
 
 int run_example_main(int argc, char** argv,
                      const core::PaperExample& example) {
-  const auto before = obs::counters::snapshot();
+  const OpCounts before = read_op_counts();
   const bool ok = print_example_reproduction(example);
-  print_counter_snapshot(obs::counters::snapshot().delta_since(before));
+  print_counter_deltas(before);
   std::printf("\n");
   register_example_benchmarks(example);
   benchmark::Initialize(&argc, argv);

@@ -7,14 +7,23 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/paper_examples.hpp"
 #include "obs/counters.hpp"
 
 namespace hcsched::bench {
 
-/// Prints a table of operation-counter values (one row per counter). Pass a
-/// delta from counters::Snapshot::delta_since to scope it to one section.
-void print_counter_snapshot(const obs::counters::Snapshot& delta);
+/// Every operation count, in Counter order.
+using OpCounts = std::array<std::uint64_t, obs::kNumCounters>;
+
+/// Reads every operation count from the metrics registry.
+OpCounts read_op_counts();
+
+/// Prints a table of the operation counts accumulated since `before` (one
+/// row per counter).
+void print_counter_deltas(const OpCounts& before);
 
 /// Prints the full reproduction of one worked example:
 ///  * the reconstructed ETC matrix (paper's "Table N: ETC matrix ..."),

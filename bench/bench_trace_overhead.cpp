@@ -128,7 +128,7 @@ void BM_MetricCounterAdd(benchmark::State& state) {
 }
 
 void BM_MetricHistogramRecord(benchmark::State& state) {
-  std::uint64_t v = 0;
+  [[maybe_unused]] std::uint64_t v = 0;  // unused under HCSCHED_TRACE=0
   for (auto _ : state) {
     HCSCHED_METRIC_OBSERVE("hcsched_bench_probe_ns", "", ++v);
   }

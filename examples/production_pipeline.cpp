@@ -24,6 +24,7 @@
 #include "core/iterative.hpp"
 #include "etc/cvb_generator.hpp"
 #include "heuristics/registry.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "report/table.hpp"
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
     std::printf("tracing to %s (instrumentation %s)\n", argv[3],
                 obs::kTraceCompiledIn ? "compiled in" : "compiled OUT");
   }
-  obs::counters::reset();  // scope the run report's counters to this run
+  obs::metrics::reset();  // scope the run report's counters to this run
 
   // Off-line batch: 32 tasks on 8 machines; late stream: 12 more tasks.
   rng::Rng rng(seed);

@@ -10,7 +10,6 @@
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/fastpath/reuse.hpp"
 #include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sched/metrics.hpp"
@@ -166,8 +165,6 @@ IterativeResult IterativeMinimizer::run(const Heuristic& heuristic,
     result.iterations.push_back(std::move(record));
     const IterationRecord& done = result.iterations.back();
     HCSCHED_COUNT(obs::Counter::kIterativeIterations);
-    HCSCHED_METRIC_COUNT("hcsched_iterative_iterations_total",
-                         "Iterative-minimization rounds executed", 1);
 
     // Cancellation degrades gracefully: the just-produced mapping (itself a
     // best-so-far result from any cancelled anytime heuristic) becomes the

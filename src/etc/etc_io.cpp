@@ -1,9 +1,11 @@
 #include "etc/etc_io.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace hcsched::etc {
 
@@ -20,6 +22,34 @@ void write_csv(std::ostream& os, const EtcMatrix& m) {
   }
 }
 
+namespace {
+
+[[noreturn]] void bad_cell(std::size_t row, std::size_t col,
+                           const std::string& cell, const char* why) {
+  throw std::runtime_error("EtcMatrix CSV: cell (row " + std::to_string(row) +
+                           ", column " + std::to_string(col) + ") '" + cell +
+                           "' " + why);
+}
+
+/// One ETC entry: the whole cell (up to trailing whitespace, so CRLF files
+/// read) must parse as a finite, non-negative number.
+double parse_cell(std::string cell, std::size_t row, std::size_t col) {
+  cell.erase(cell.find_last_not_of(" \t\r") + 1);
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(cell, &used);
+  } catch (const std::logic_error&) {  // invalid_argument / out_of_range
+    bad_cell(row, col, cell, "is not a representable number");
+  }
+  if (used != cell.size()) bad_cell(row, col, cell, "has trailing characters");
+  if (!std::isfinite(value)) bad_cell(row, col, cell, "is not finite");
+  if (value < 0.0) bad_cell(row, col, cell, "is negative");
+  return value;
+}
+
+}  // namespace
+
 EtcMatrix read_csv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) {
@@ -35,7 +65,14 @@ EtcMatrix read_csv(std::istream& is) {
                                "'");
     }
   }
-  EtcMatrix m(tasks, machines);
+  if (machines != 0 && tasks > std::numeric_limits<std::size_t>::max() /
+                                   machines) {
+    throw std::runtime_error("EtcMatrix CSV: header '" + line +
+                             "' overflows the cell count");
+  }
+  // Storage grows with the rows actually read, never with the header's
+  // claim, so a lying header cannot force a huge allocation.
+  std::vector<std::vector<double>> rows;
   for (std::size_t t = 0; t < tasks; ++t) {
     if (!std::getline(is, line)) {
       throw std::runtime_error("EtcMatrix CSV: truncated at row " +
@@ -43,16 +80,16 @@ EtcMatrix read_csv(std::istream& is) {
     }
     std::istringstream row(line);
     std::string cell;
+    std::vector<double>& values = rows.emplace_back();
     for (std::size_t j = 0; j < machines; ++j) {
       if (!std::getline(row, cell, ',')) {
         throw std::runtime_error("EtcMatrix CSV: short row " +
                                  std::to_string(t));
       }
-      m.at(static_cast<TaskId>(t), static_cast<MachineId>(j)) =
-          std::stod(cell);
+      values.push_back(parse_cell(cell, t, j));
     }
   }
-  return m;
+  return tasks == 0 ? EtcMatrix(0, machines) : EtcMatrix::from_rows(rows);
 }
 
 std::string to_csv(const EtcMatrix& m) {

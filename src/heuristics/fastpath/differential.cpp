@@ -192,19 +192,17 @@ DifferentialOutcome run_differential_case(const DifferentialCase& c) {
     outcome.divergence = iterative_divergence(ref, fast);
   } else {
 #if HCSCHED_TRACE
-    const auto before_ref = obs::counters::snapshot();
+    constexpr auto kCells = obs::Counter::kEtcCellEvaluations;
+    const std::uint64_t before_ref = obs::counters::read(kCells);
 #endif
     const Schedule ref = info.reference(problem, ref_ties);
 #if HCSCHED_TRACE
-    const auto before_fast = obs::counters::snapshot();
+    const std::uint64_t before_fast = obs::counters::read(kCells);
 #endif
     const Schedule fast = info.fast(problem, fast_ties);
 #if HCSCHED_TRACE
-    const auto after = obs::counters::snapshot();
-    outcome.reference_cell_evals = before_fast.delta_since(
-        before_ref)[obs::Counter::kEtcCellEvaluations];
-    outcome.fastpath_cell_evals =
-        after.delta_since(before_fast)[obs::Counter::kEtcCellEvaluations];
+    outcome.reference_cell_evals = before_fast - before_ref;
+    outcome.fastpath_cell_evals = obs::counters::read(kCells) - before_fast;
 #endif
     outcome.divergence = first_divergence(ref, fast);
   }

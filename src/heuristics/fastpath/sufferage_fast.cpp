@@ -34,7 +34,6 @@
 #include "heuristics/fastpath/reuse.hpp"
 #include "heuristics/fastpath/workspace.hpp"
 #include "obs/counters.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace hcsched::heuristics::fastpath {
@@ -199,10 +198,6 @@ Schedule sufferage_fast(const Problem& problem, TieBreaker& ties,
     pending_count = next_count;
   }
 
-  HCSCHED_METRIC_COUNT("hcsched_fastpath_rescores_total",
-                       "Fastpath phase-one full rescores", rescores);
-  HCSCHED_METRIC_COUNT("hcsched_fastpath_replays_total",
-                       "Fastpath phase-one cached replays", replays);
   HCSCHED_SPAN_ATTR(kernel_span, "passes", obs::JsonValue(pass));
   HCSCHED_SPAN_ATTR(kernel_span, "rescores", obs::JsonValue(rescores));
   HCSCHED_SPAN_ATTR(kernel_span, "replays", obs::JsonValue(replays));

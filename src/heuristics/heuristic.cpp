@@ -15,8 +15,8 @@ namespace hcsched::heuristics {
 namespace {
 
 #if HCSCHED_TRACE
-/// Times one heuristic invocation and feeds the counter/timing registries
-/// (and the tracer, when a sink is installed) on scope exit.
+/// Times one heuristic invocation and feeds the metrics registry (and the
+/// tracer, when a sink is installed) on scope exit.
 class CallScope {
  public:
   CallScope(const Heuristic& heuristic, const Problem& problem, bool seeded)
@@ -39,11 +39,10 @@ class CallScope {
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
     obs::counters::add(obs::Counter::kHeuristicInvocations);
-    obs::record_heuristic_call(heuristic_.name(), ns);
-    HCSCHED_METRIC_COUNT("hcsched_heuristic_invocations_total",
-                         "Heuristic map/map_seeded calls", 1);
-    HCSCHED_METRIC_OBSERVE("hcsched_heuristic_map_ns",
-                           "Latency of one heuristic mapping call", ns);
+    obs::metrics::histogram("hcsched_heuristic_map_ns",
+                            "Latency of one heuristic mapping call",
+                            {"heuristic", heuristic_.name()})
+        .observe(ns);
     HCSCHED_TRACE_EVENT(
         "heuristic.call",
         {{"heuristic", obs::JsonValue(heuristic_.name())},

@@ -1,33 +1,22 @@
-// Counters, timers, and latency histograms (observability pillar 2 of 3).
+// Operation counters: the hot-path write side of the metrics registry.
 //
 // Wall-clock alone is a dishonest currency for comparing heuristics (fast
-// local-search literature counts *evaluations*); this module gives the hot
-// paths cheap operation counters:
-//
-//   * Counter        — a fixed catalog of u64 counters. add() writes a
-//                      plain thread-local buffer (no atomics on the hot
-//                      path); buffers are merged into the global table when
-//                      a CounterScope exits, when the owning thread exits,
-//                      or when the calling thread snapshots.
-//   * LatencyHistogram — lock-free log2-bucketed nanosecond histograms for
-//                      thread-pool queue wait / task run latency.
-//   * per-heuristic timing registry — invocation count + total ns per
-//                      heuristic name, fed by the Heuristic NVI wrapper.
+// local-search literature counts *evaluations*), so hot paths count
+// operations from a fixed catalog. add() writes a plain thread-local buffer
+// (no atomics on the hot path); the buffer flushes into the global
+// MetricsRegistry's `hcsched_ops_total{op="<name>"}` counters when a
+// CounterScope exits, when the owning thread exits, or when the calling
+// thread reads (counters::read, metrics::snapshot_json/prometheus_text).
 //
 // Instrument with HCSCHED_COUNT(...), which compiles away entirely under
 // -DHCSCHED_TRACE=0 (the same kill switch as tracing). The query API is
 // always compiled so tooling builds in every configuration.
 #pragma once
 
-#include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
-#include "obs/json.hpp"
 #include "obs/trace.hpp"  // HCSCHED_TRACE
 
 namespace hcsched::obs {
@@ -59,7 +48,7 @@ enum class Counter : std::size_t {
 inline constexpr std::size_t kNumCounters =
     static_cast<std::size_t>(Counter::kCount);
 
-/// Stable snake_case name (JSON key) of a counter.
+/// Stable snake_case name of a counter: its `op` label value.
 std::string_view to_string(Counter c) noexcept;
 
 namespace counters {
@@ -67,33 +56,19 @@ namespace counters {
 /// Adds `n` to the calling thread's buffer for `c` (cheap, no atomics).
 void add(Counter c, std::uint64_t n = 1) noexcept;
 
-/// Merges the calling thread's buffer into the global table. Called
-/// automatically at thread exit and by CounterScope / snapshot().
+/// Flushes the calling thread's buffer into the registry. Called
+/// automatically at thread exit and by CounterScope / read().
 void flush_thread() noexcept;
 
-struct Snapshot {
-  std::array<std::uint64_t, kNumCounters> values{};
-
-  std::uint64_t operator[](Counter c) const noexcept {
-    return values[static_cast<std::size_t>(c)];
-  }
-  /// Per-counter difference (saturating at 0) versus an earlier snapshot.
-  Snapshot delta_since(const Snapshot& earlier) const noexcept;
-  /// {"counter_name": value, ...} in catalog order.
-  JsonValue to_json() const;
-};
-
-/// Flushes the calling thread, then reads the global table. Counts buffered
-/// by *other* live threads that have not flushed yet are not included.
-Snapshot snapshot();
-
-/// Zeros the global table, the calling thread's buffer, the histograms and
-/// the per-heuristic timing registry.
-void reset();
+/// Flushes the calling thread's buffer, then reads
+/// `hcsched_ops_total{op="<to_string(c)>"}` from the global registry. Counts
+/// buffered by *other* live threads that have not flushed yet are not
+/// included.
+std::uint64_t read(Counter c);
 
 /// RAII: flushes this thread's counter buffer on scope exit. Place one at
-/// the top of a worker's chunk so its counts land in the global table as
-/// soon as the chunk finishes.
+/// the top of a worker's chunk so its counts land in the registry as soon
+/// as the chunk finishes.
 class CounterScope {
  public:
   CounterScope() = default;
@@ -103,60 +78,6 @@ class CounterScope {
 };
 
 }  // namespace counters
-
-/// Lock-free histogram over nanosecond durations with log2 buckets:
-/// bucket i counts samples in [2^i, 2^(i+1)) ns (bucket 0 includes 0).
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  void record_ns(std::uint64_t ns) noexcept;
-
-  std::uint64_t count() const noexcept;
-  std::uint64_t total_ns() const noexcept;
-  std::uint64_t max_ns() const noexcept;
-  double mean_ns() const noexcept;
-  /// Upper bound (ns) of the bucket containing quantile q in [0, 1]
-  /// (0 when empty). Coarse by design: log2 resolution.
-  std::uint64_t quantile_upper_bound_ns(double q) const noexcept;
-  std::array<std::uint64_t, kBuckets> buckets() const noexcept;
-  void reset() noexcept;
-
-  /// {"count":..., "total_ns":..., "mean_ns":..., "p50_ns":..., "p99_ns":...,
-  ///  "max_ns":...}
-  JsonValue to_json() const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> max_ns_{0};
-};
-
-/// Queue wait (submit -> dequeue) latency of thread-pool tasks.
-LatencyHistogram& pool_wait_histogram() noexcept;
-/// Run (dequeue -> done) latency of thread-pool tasks.
-LatencyHistogram& pool_run_histogram() noexcept;
-
-/// Thread-pool queue-depth gauge (samples taken at submit time).
-void record_queue_depth(std::size_t depth) noexcept;
-std::size_t max_queue_depth() noexcept;
-
-/// Per-heuristic timing registry, fed by the Heuristic NVI wrapper.
-struct HeuristicTiming {
-  std::uint64_t calls = 0;
-  std::uint64_t total_ns = 0;
-
-  double mean_ns() const noexcept {
-    return calls == 0 ? 0.0
-                      : static_cast<double>(total_ns) /
-                            static_cast<double>(calls);
-  }
-};
-
-void record_heuristic_call(std::string_view name, std::uint64_t ns);
-/// (name, timing) pairs sorted by name.
-std::vector<std::pair<std::string, HeuristicTiming>> heuristic_timings();
 
 }  // namespace hcsched::obs
 

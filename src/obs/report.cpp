@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include "obs/metrics.hpp"
 #include "report/table.hpp"
 #include "sched/metrics.hpp"
 
@@ -21,6 +22,21 @@ JsonValue machine_times_json(
     object.emplace_back(machine_label(machine), JsonValue(t));
   }
   return JsonValue(std::move(object));
+}
+
+/// {count, total_ns, mean_ns, p50_ns, p99_ns} of an unlabelled histogram
+/// (all zeros when it was never registered).
+JsonValue latency_json(std::string_view name) {
+  static const MetricHistogram kEmpty;
+  const auto series = metrics::histogram_series(name);
+  const MetricHistogram& h = series.empty() ? kEmpty : *series.front().second;
+  return JsonValue(JsonValue::Object{
+      {"count", JsonValue(h.count())},
+      {"total_ns", JsonValue(h.sum())},
+      {"mean_ns", JsonValue(h.mean())},
+      {"p50_ns", JsonValue(h.quantile_upper_bound(0.50))},
+      {"p99_ns", JsonValue(h.quantile_upper_bound(0.99))},
+  });
 }
 
 }  // namespace
@@ -58,8 +74,14 @@ RunReport build_run_report(std::string_view heuristic,
     report.iterations.push_back(std::move(summary));
   }
 
-  report.counters = counters::snapshot();
-  report.heuristic_timings = heuristic_timings();
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    report.counters[i] = counters::read(static_cast<Counter>(i));
+  }
+  for (const auto& [name, h] :
+       metrics::histogram_series("hcsched_heuristic_map_ns")) {
+    report.heuristic_timings.emplace_back(
+        name, HeuristicTiming{h->count(), h->sum()});
+  }
   return report;
 }
 
@@ -84,6 +106,13 @@ JsonValue to_json(const RunReport& report) {
     iterations.emplace_back(std::move(object));
   }
 
+  JsonValue::Object counters;
+  counters.reserve(kNumCounters);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    counters.emplace_back(std::string(to_string(static_cast<Counter>(i))),
+                          JsonValue(report.counters[i]));
+  }
+
   JsonValue::Object timings;
   timings.reserve(report.heuristic_timings.size());
   for (const auto& [name, timing] : report.heuristic_timings) {
@@ -105,11 +134,10 @@ JsonValue to_json(const RunReport& report) {
       {"iterations", JsonValue(std::move(iterations))},
       {"final_finishing_times",
        machine_times_json(report.final_finishing_times)},
-      {"counters", report.counters.to_json()},
+      {"counters", JsonValue(std::move(counters))},
       {"heuristic_timings", JsonValue(std::move(timings))},
-      {"pool_wait", pool_wait_histogram().to_json()},
-      {"pool_run", pool_run_histogram().to_json()},
-      {"pool_max_queue_depth", JsonValue(max_queue_depth())},
+      {"pool_wait", latency_json("hcsched_pool_wait_ns")},
+      {"pool_run", latency_json("hcsched_pool_run_ns")},
   });
 }
 
@@ -146,7 +174,7 @@ std::string to_text(const RunReport& report) {
   TextTable counters({"counter", "value"});
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     counters.add_row({std::string(to_string(static_cast<Counter>(i))),
-                      std::to_string(report.counters.values[i])});
+                      std::to_string(report.counters[i])});
   }
   out += counters.to_string();
 

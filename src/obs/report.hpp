@@ -1,14 +1,16 @@
-// Run-report builder (observability pillar 3 of 3).
+// Run-report builder.
 //
 // Snapshots everything one run of the iterative technique produced into a
 // single JSON-ready document: per-iteration scheduler state (machine
 // removed, frozen completion time, completion-time vector, balance index —
 // the paper's per-iteration trajectory), the final finishing times, the
-// operation-counter snapshot, per-heuristic timings, and the thread-pool
-// latency histograms. The CLI `report` subcommand pretty-prints it; the
-// production_pipeline example and the sim layer attach it per trial.
+// operation counts, per-heuristic timings, and the thread-pool latency
+// summaries — all read from the metrics registry. The CLI `report`
+// subcommand pretty-prints it; the production_pipeline example prints one.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +39,19 @@ struct IterationSummary {
   std::vector<std::pair<sched::MachineId, double>> completion_times{};
 };
 
+/// One `hcsched_heuristic_map_ns{heuristic=...}` series: its count is the
+/// number of calls and its sum the total nanoseconds.
+struct HeuristicTiming {
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+
+  double mean_ns() const noexcept {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(total_ns) /
+                            static_cast<double>(calls);
+  }
+};
+
 struct RunReport {
   std::string heuristic{};
   std::size_t num_tasks = 0;
@@ -47,18 +62,22 @@ struct RunReport {
   std::vector<IterationSummary> iterations{};
   /// (machine, final finishing time), initial machine order.
   std::vector<std::pair<sched::MachineId, double>> final_finishing_times{};
-  /// Counter values at build time (whole-process; use
-  /// counters::Snapshot::delta_since to scope to one run).
-  counters::Snapshot counters{};
+  /// Operation counts at build time, in Counter order (whole-process; call
+  /// metrics::reset() before the run to scope them to it).
+  std::array<std::uint64_t, kNumCounters> counters{};
+  /// (heuristic name, timing) pairs sorted by name.
   std::vector<std::pair<std::string, HeuristicTiming>> heuristic_timings{};
 };
 
-/// Builds the report from a finished IterativeResult, snapshotting the
-/// global counters and timing registry.
+/// Builds the report from a finished IterativeResult, reading the operation
+/// counts and heuristic timings from the global metrics registry.
 RunReport build_run_report(std::string_view heuristic,
                            const core::IterativeResult& result);
 
-/// The full report as one JSON document.
+/// The full report as one JSON document. `pool_wait` / `pool_run`
+/// summarize the live `hcsched_pool_{wait,run}_ns` histograms as {count,
+/// total_ns, mean_ns, p50_ns, p99_ns}; the quantiles are bucket upper
+/// bounds (log4 resolution).
 JsonValue to_json(const RunReport& report);
 
 /// Human-readable rendering (tables) for the CLI `report` subcommand.

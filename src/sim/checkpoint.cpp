@@ -7,7 +7,6 @@
 
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault/fault.hpp"
@@ -238,8 +237,6 @@ void CheckpointWriter::append_trial(const CheckpointKey& key,
     throw std::runtime_error("checkpoint: write to " + path_ + " failed");
   }
   HCSCHED_COUNT(obs::Counter::kCheckpointTrialsWritten);
-  HCSCHED_METRIC_COUNT("hcsched_checkpoint_writes_total",
-                       "Trial outcomes appended to a checkpoint file", 1);
   HCSCHED_TRACE_EVENT("checkpoint.trial_written",
                       {{"point", obs::JsonValue(key.point)},
                        {"trial", obs::JsonValue(key.trial)}});

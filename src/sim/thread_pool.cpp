@@ -76,7 +76,6 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
   const auto enqueued = std::chrono::steady_clock::now();
   std::packaged_task<void()> task([job = std::move(job), enqueued] {
     const std::uint64_t wait_ns = elapsed_ns(enqueued);
-    obs::pool_wait_histogram().record_ns(wait_ns);
     HCSCHED_METRIC_OBSERVE("hcsched_pool_wait_ns",
                            "Queue wait of one pool job (submit to start)",
                            wait_ns);
@@ -87,7 +86,6 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
       job();
     }
     const std::uint64_t run_ns = elapsed_ns(started);
-    obs::pool_run_histogram().record_ns(run_ns);
     HCSCHED_METRIC_OBSERVE("hcsched_pool_run_ns",
                            "Run latency of one pool job (start to finish)",
                            run_ns);
@@ -108,7 +106,6 @@ std::future<void> ThreadPool::submit(std::function<void()> job) {
 void ThreadPool::enqueue_locked(std::packaged_task<void()> task) {
   queue_.push_back(std::move(task));
 #if HCSCHED_TRACE
-  obs::record_queue_depth(queue_.size());
   HCSCHED_METRIC_GAUGE_SET("hcsched_pool_queue_depth",
                            "Jobs waiting in the pool queue", queue_.size());
 #endif
@@ -160,8 +157,8 @@ void ThreadPool::parallel_for_chunks(
 }
 
 void ThreadPool::worker_loop() {
-  // Merge this worker's counter buffer into the global table after each
-  // task, so studies read complete totals without waiting for pool teardown.
+  // Flush this worker's counter buffer into the registry after each task,
+  // so studies read complete totals without waiting for pool teardown.
   for (;;) {
     std::packaged_task<void()> task;
     {

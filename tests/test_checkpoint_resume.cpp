@@ -406,7 +406,12 @@ TEST(CheckpointCounters, WrittenReplayedAndCorruptAreCounted) {
   const std::string path = tmp_path("counters");
   std::remove(path.c_str());
 
-  const auto before = hcsched::obs::counters::snapshot();
+  using hcsched::obs::Counter;
+  using hcsched::obs::counters::read;
+  const std::uint64_t written_before = read(Counter::kCheckpointTrialsWritten);
+  const std::uint64_t replayed_before =
+      read(Counter::kCheckpointTrialsReplayed);
+  const std::uint64_t corrupt_before = read(Counter::kCheckpointCorruptLines);
   {
     CheckpointWriter writer(path);
     StudyHooks hooks;
@@ -422,11 +427,11 @@ TEST(CheckpointCounters, WrittenReplayedAndCorruptAreCounted) {
   hooks.resume = &data;
   hcsched::sim::run_iterative_study_report(params, pool, hooks);
 
-  const auto delta = hcsched::obs::counters::snapshot().delta_since(before);
-  using hcsched::obs::Counter;
-  EXPECT_EQ(delta[Counter::kCheckpointTrialsWritten], params.trials);
-  EXPECT_EQ(delta[Counter::kCheckpointTrialsReplayed], params.trials);
-  EXPECT_EQ(delta[Counter::kCheckpointCorruptLines], 1u);
+  EXPECT_EQ(read(Counter::kCheckpointTrialsWritten) - written_before,
+            params.trials);
+  EXPECT_EQ(read(Counter::kCheckpointTrialsReplayed) - replayed_before,
+            params.trials);
+  EXPECT_EQ(read(Counter::kCheckpointCorruptLines) - corrupt_before, 1u);
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "etc/cvb_generator.hpp"
 #include "rng/rng.hpp"
@@ -55,6 +57,54 @@ TEST(EtcIo, TruncatedBodyThrows) {
 
 TEST(EtcIo, ShortRowThrows) {
   EXPECT_THROW(from_csv("1,3\n1,2\n"), std::runtime_error);
+}
+
+// Every bad-cell error names the row and column of the offending cell.
+void expect_cell_error(const std::string& csv, const std::string& where) {
+  try {
+    (void)from_csv(csv);
+    ADD_FAILURE() << "accepted: " << csv;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EtcIo, NonFiniteCellThrows) {
+  expect_cell_error("2,2\n1,2\n3,nan\n", "row 1, column 1");
+  expect_cell_error("2,2\nNaN,2\n3,4\n", "row 0, column 0");
+  expect_cell_error("2,2\n1,inf\n3,4\n", "row 0, column 1");
+  expect_cell_error("2,2\n1,2\n-inf,4\n", "row 1, column 0");
+}
+
+TEST(EtcIo, NegativeCellThrows) {
+  expect_cell_error("2,2\n1,2\n3,-5\n", "row 1, column 1");
+  expect_cell_error("1,2\n-0.5,1\n", "row 0, column 0");
+}
+
+TEST(EtcIo, PartlyParsedCellThrows) {
+  expect_cell_error("1,2\n1.5x,2\n", "row 0, column 0");
+  expect_cell_error("1,2\n1,2 3\n", "row 0, column 1");
+  expect_cell_error("1,2\n,2\n", "row 0, column 0");
+  expect_cell_error("1,2\nabc,2\n", "row 0, column 0");
+}
+
+TEST(EtcIo, TrailingWhitespaceAndCrlfAccepted) {
+  EXPECT_EQ(from_csv("2,2\r\n1,2\r\n3.5 ,4\t\r\n"),
+            EtcMatrix::from_rows({{1, 2}, {3.5, 4}}));
+}
+
+TEST(EtcIo, HugeHeaderDoesNotAllocateUpFront) {
+  // The header claims 6e9 cells but only two rows follow: the reader must
+  // report the truncation instead of allocating for the claim.
+  EXPECT_THROW(from_csv("3000000000,2\n1,2\n3,4\n"), std::runtime_error);
+  EXPECT_THROW(from_csv("2,3000000000\n1,2\n"), std::runtime_error);
+}
+
+TEST(EtcIo, OverflowingHeaderThrows) {
+  EXPECT_THROW(from_csv("18446744073709551615,2\n1,2\n"),
+               std::runtime_error);
+  EXPECT_THROW(from_csv("4294967296,4294967296\n"), std::runtime_error);
 }
 
 TEST(EtcIo, EmptyMatrixRoundTrips) {

@@ -521,12 +521,11 @@ TEST(FastpathSwitch, DispatcherFollowsMode) {
   const auto evals_under = [&](Mode mode) {
     const ScopedMode scope(mode);
     TieBreaker ties;
-    const auto before = hcsched::obs::counters::snapshot();
+    constexpr auto kCells = hcsched::obs::Counter::kEtcCellEvaluations;
+    const std::uint64_t before = hcsched::obs::counters::read(kCells);
     (void)hcsched::heuristics::detail::two_phase_greedy(problem, ties,
                                                         false);
-    const auto after = hcsched::obs::counters::snapshot();
-    return after.delta_since(
-        before)[hcsched::obs::Counter::kEtcCellEvaluations];
+    return hcsched::obs::counters::read(kCells) - before;
   };
   if (fastpath::compiled()) {
     EXPECT_LT(evals_under(Mode::kForceOn), evals_under(Mode::kForceOff));

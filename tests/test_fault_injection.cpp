@@ -349,14 +349,16 @@ TEST_F(FaultMatrixTest, InjectionCountersTrack) {
   }
   const StudyParams params = small_params();
   ThreadPool pool(2);
-  const auto before = hcsched::obs::counters::snapshot();
+  using hcsched::obs::Counter;
+  using hcsched::obs::counters::read;
+  const std::uint64_t faults_before = read(Counter::kFaultsInjected);
+  const std::uint64_t quarantined_before = read(Counter::kTrialsQuarantined);
   const fault::ScopedFault scoped({fault::Site::kHeuristicMap, 1.0, 1});
   const StudyReport report = run_iterative_study_report(params, pool);
-  const auto delta =
-      hcsched::obs::counters::snapshot().delta_since(before);
-  EXPECT_EQ(delta[hcsched::obs::Counter::kFaultsInjected],
+  EXPECT_EQ(read(Counter::kFaultsInjected) - faults_before,
             params.trials * params.heuristics.size());
-  EXPECT_EQ(delta[hcsched::obs::Counter::kTrialsQuarantined], params.trials);
+  EXPECT_EQ(read(Counter::kTrialsQuarantined) - quarantined_before,
+            params.trials);
   EXPECT_EQ(report.quarantined.size(),
             params.trials * params.heuristics.size());
 }

@@ -86,20 +86,21 @@ struct Outcome {
   std::array<std::uint64_t, 3> counts{};
 };
 
-std::array<std::uint64_t, 3> ga_counts(
-    const hcsched::obs::counters::Snapshot& s) {
-  return {s[Counter::kGaSteps], s[Counter::kGaCrossovers],
-          s[Counter::kGaMutations]};
+std::array<std::uint64_t, 3> ga_counts() {
+  using hcsched::obs::counters::read;
+  return {read(Counter::kGaSteps), read(Counter::kGaCrossovers),
+          read(Counter::kGaMutations)};
 }
 
 template <typename G>
 Outcome run_one(const G& genitor, const Problem& p, const Schedule* seed) {
-  const auto before = hcsched::obs::counters::snapshot();
+  const std::array<std::uint64_t, 3> before = ga_counts();
   TieBreaker ties;
   Schedule s = seed != nullptr ? genitor.map_seeded(p, ties, seed)
                                : genitor.map(p, ties);
-  const auto delta = hcsched::obs::counters::snapshot().delta_since(before);
-  return Outcome{std::move(s), genitor.last_run(), ga_counts(delta)};
+  std::array<std::uint64_t, 3> delta = ga_counts();
+  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+  return Outcome{std::move(s), genitor.last_run(), delta};
 }
 
 void expect_same(const Outcome& slab, const Outcome& legacy,

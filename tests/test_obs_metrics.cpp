@@ -166,6 +166,75 @@ TEST(MetricsRegistry, PrometheusExpositionMatchesGolden) {
   }
 }
 
+TEST(MetricsRegistry, LabelledFamilyRendersOnceWithOneSeriesPerLabel) {
+  obs::MetricsRegistry registry;
+  registry.counter("hcsched_test_ops_total", "Ops", {"op", "b"}).add(2);
+  registry.counter("hcsched_test_ops_total", "Ops", {"op", "a"}).add(1);
+  obs::MetricHistogram& h = registry.histogram(
+      "hcsched_test_map_ns", "Map latency", {"heuristic", "Min-Min"});
+  h.observe(3);
+  h.observe(100);
+  EXPECT_EQ(&registry.counter("hcsched_test_ops_total", "", {"op", "a"}),
+            &registry.counter("hcsched_test_ops_total", "", {"op", "a"}));
+  EXPECT_EQ(registry.size(), 3u);
+
+  const std::string text = registry.prometheus_text();
+  // One # HELP / # TYPE per family, series sorted by label value.
+  EXPECT_NE(text.find("# HELP hcsched_test_ops_total Ops\n"
+                      "# TYPE hcsched_test_ops_total counter\n"
+                      "hcsched_test_ops_total{op=\"a\"} 1\n"
+                      "hcsched_test_ops_total{op=\"b\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("# TYPE hcsched_test_ops_total"),
+            text.rfind("# TYPE hcsched_test_ops_total"));
+  // The series label precedes `le` on bucket lines; _sum/_count keep it.
+  EXPECT_NE(text.find("hcsched_test_map_ns_bucket{heuristic=\"Min-Min\","
+                      "le=\"4\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("hcsched_test_map_ns_bucket{heuristic=\"Min-Min\","
+                      "le=\"+Inf\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("hcsched_test_map_ns_sum{heuristic=\"Min-Min\"} 103\n"
+                      "hcsched_test_map_ns_count{heuristic=\"Min-Min\"} 2\n"),
+            std::string::npos);
+
+  const obs::JsonValue parsed =
+      obs::JsonValue::parse(registry.snapshot_json().dump());
+  const auto& metrics = parsed.at("metrics").as_array();
+  ASSERT_EQ(metrics.size(), 3u);
+  EXPECT_EQ(metrics[0].at("name").as_string(), "hcsched_test_map_ns");
+  EXPECT_EQ(metrics[0].at("labels").at("heuristic").as_string(), "Min-Min");
+  EXPECT_DOUBLE_EQ(metrics[0].at("sum").as_number(), 103.0);
+  EXPECT_EQ(metrics[1].at("labels").at("op").as_string(), "a");
+  EXPECT_DOUBLE_EQ(metrics[1].at("value").as_number(), 1.0);
+  EXPECT_EQ(metrics[2].at("labels").at("op").as_string(), "b");
+  EXPECT_EQ(metrics[2].at("help").as_string(), "Ops");
+  EXPECT_DOUBLE_EQ(metrics[2].at("value").as_number(), 2.0);
+
+  const auto series = registry.histogram_series("hcsched_test_map_ns");
+  ASSERT_EQ(series.size(), 1u);
+  EXPECT_EQ(series[0].first, "Min-Min");
+  EXPECT_EQ(series[0].second, &h);
+  EXPECT_TRUE(registry.histogram_series("hcsched_test_ops_total").empty());
+}
+
+TEST(MetricsRegistry, LabelValuesAreEscapedAndLabelKeysChecked) {
+  obs::MetricsRegistry registry;
+  registry.gauge("hcsched_test_g", "", {"k", "a\"b\\c\nd"}).set(1);
+  EXPECT_NE(registry.prometheus_text().find(
+                "hcsched_test_g{k=\"a\\\"b\\\\c\\nd\"} 1\n"),
+            std::string::npos);
+  // One label key per family; unlabelled and labelled series do not mix.
+  EXPECT_THROW(registry.gauge("hcsched_test_g", "", {"other", "x"}),
+               std::invalid_argument);
+  EXPECT_THROW(registry.gauge("hcsched_test_g"), std::invalid_argument);
+  EXPECT_THROW(registry.counter("hcsched_test_c", "", {"bad-key", "x"}),
+               std::invalid_argument);
+  EXPECT_THROW(registry.histogram("hcsched_test_h", "", {"le", "x"}),
+               std::invalid_argument);
+}
+
 TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
   obs::MetricsRegistry registry;
   obs::MetricCounter& c = registry.counter("hcsched_test_reset_total");

@@ -15,6 +15,7 @@
 
 #include "core/cancel.hpp"
 #include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace hcsched {
@@ -158,7 +159,7 @@ TEST(ThreadPoolStress, CounterMergeOnThreadExit) {
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kAddsPerThread = 1000;
 
-  obs::counters::reset();
+  obs::metrics::reset();
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -173,8 +174,8 @@ TEST(ThreadPoolStress, CounterMergeOnThreadExit) {
     }
     for (std::thread& t : threads) t.join();
   }
-  const auto snap = obs::counters::snapshot();
-  EXPECT_EQ(snap[Counter::kEtcCellEvaluations], kThreads * kAddsPerThread);
+  EXPECT_EQ(obs::counters::read(Counter::kEtcCellEvaluations),
+            kThreads * kAddsPerThread);
 }
 
 TEST(ThreadPoolStress, SnapshotRacesFlushingWorkers) {
@@ -183,13 +184,12 @@ TEST(ThreadPoolStress, SnapshotRacesFlushingWorkers) {
   constexpr std::size_t kWriters = 4;
   constexpr std::uint64_t kAddsPerWriter = 5000;
 
-  obs::counters::reset();
+  obs::metrics::reset();
   std::atomic<bool> stop_reader{false};
   std::thread reader([&stop_reader] {
     std::uint64_t last = 0;
     while (!stop_reader.load(std::memory_order_acquire)) {
-      const auto snap = obs::counters::snapshot();
-      const std::uint64_t now = snap[Counter::kTieDecisions];
+      const std::uint64_t now = obs::counters::read(Counter::kTieDecisions);
       EXPECT_GE(now, last);
       last = now;
     }
@@ -209,12 +209,12 @@ TEST(ThreadPoolStress, SnapshotRacesFlushingWorkers) {
   }
   stop_reader.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(obs::counters::snapshot()[Counter::kTieDecisions],
+  EXPECT_EQ(obs::counters::read(Counter::kTieDecisions),
             kWriters * kAddsPerWriter);
 }
 
 TEST(ThreadPoolStress, HistogramsRecordUnderContention) {
-  obs::counters::reset();
+  obs::metrics::reset();
   sim::ThreadPool pool(4);
   constexpr std::size_t kJobs = 256;
   std::vector<std::future<void>> futures;
@@ -223,10 +223,13 @@ TEST(ThreadPoolStress, HistogramsRecordUnderContention) {
     futures.push_back(pool.submit([] {}));
   }
   for (auto& f : futures) f.get();
-  EXPECT_EQ(obs::pool_wait_histogram().count(), kJobs);
-  EXPECT_EQ(obs::pool_run_histogram().count(), kJobs);
-  EXPECT_GE(obs::pool_run_histogram().quantile_upper_bound_ns(0.99),
-            obs::pool_run_histogram().quantile_upper_bound_ns(0.50));
+  const obs::MetricHistogram& wait =
+      obs::metrics::histogram("hcsched_pool_wait_ns");
+  const obs::MetricHistogram& run =
+      obs::metrics::histogram("hcsched_pool_run_ns");
+  EXPECT_EQ(wait.count(), kJobs);
+  EXPECT_EQ(run.count(), kJobs);
+  EXPECT_GE(run.quantile_upper_bound(0.99), run.quantile_upper_bound(0.50));
 }
 
 #endif  // HCSCHED_TRACE

@@ -1,11 +1,11 @@
 // hcsched_analyze — token-aware static analysis for the hcsched repo
-// (dependency-free, ctest-registered). Supersedes the regex linter
-// hcsched_lint: same conventions, real lexing.
+// (dependency-free, ctest-registered). Supersedes the old regex linter:
+// same conventions, real lexing.
 //
 // Rules (docs/STATIC_ANALYSIS.md has the full catalog and the layering
 // component table):
 //
-//   ported from hcsched_lint, now string/comment-aware:
+//   ported from the regex linter, now string/comment-aware:
 //     heuristic-registry, fastpath-differential, trace-guard,
 //     test-registration, include-hygiene, explicit-memory-order,
 //     no-nondeterminism-in-core, lock-annotation-coverage, metric-docs

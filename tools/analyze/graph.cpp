@@ -69,7 +69,6 @@ constexpr std::pair<std::string_view, std::string_view> kPrefixComponents[] =
         {"src/sim/", "sim"},
         {"src/report/", "report"},
         {"tools/analyze/", "tools/analyze"},
-        {"tools/lint/", "tools/lint"},
         {"tools/fuzz/", "tools/fuzz"},
         {"tools/bench_check/", "tools/bench_check"},
         {"bench/", "bench"},
@@ -104,12 +103,11 @@ const std::map<std::string, std::vector<std::string>>& component_deps() {
        {"core/base", "core/algo", "rng", "etc", "sched", "obs", "report"}},
       {"report", {"core/base", "etc", "sched"}},
       // Drivers and harnesses above src/. The analyzer is dependency-free
-      // by design (it must build before anything else is sane); lint is a
-      // thin shim over it. Benches may use the full study/driver surface
-      // but NOT GA/search internals — a bench poking those marks the
-      // audited include '// lint:allow(layering)'.
+      // by design (it must build before anything else is sane). Benches
+      // may use the full study/driver surface but NOT GA/search internals —
+      // a bench poking those marks the audited include
+      // '// lint:allow(layering)'.
       {"tools/analyze", {}},
-      {"tools/lint", {"tools/analyze"}},
       {"tools/fuzz", {"core/base", "rng", "etc", "sched", "heuristics"}},
       {"tools/bench_check",
        {"core/base", "rng", "etc", "sched", "heuristics", "obs"}},

@@ -67,12 +67,9 @@ void check_trace_guard(const std::string& relative, const FileContext& ctx,
                        FileSummary& out) {
   // Raw observability entry points that -DHCSCHED_TRACE=0 must compile out.
   constexpr std::string_view kRawCalls[] = {
-      "obs::counters::add(",      "counters::add(",
-      "obs::Tracer::emit(",       "Tracer::emit(",
-      "record_heuristic_call(",   "record_queue_depth(",
-      "pool_wait_histogram(",     "pool_run_histogram(",
-      "obs::ScopedSpan",          "metrics::counter(",
-      "metrics::gauge(",          "metrics::histogram(",
+      "obs::counters::add(", "counters::add(",    "obs::Tracer::emit(",
+      "Tracer::emit(",       "obs::ScopedSpan",   "metrics::counter(",
+      "metrics::gauge(",     "metrics::histogram(",
   };
   if (!starts_with(relative, "src/")) return;
   if (starts_with(relative, "src/obs/")) return;  // the implementation

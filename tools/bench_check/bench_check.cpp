@@ -20,6 +20,7 @@
 #include <string>
 
 #include "heuristics/fastpath/fastpath.hpp"
+#include "obs/counters.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -194,19 +195,39 @@ void check_localsearch(const JsonValue& root) {
 
 // --- stats document: `hcsched_cli stats --format json` -------------------
 
+// Every series carries an optional {"key": "value"} labels object. The
+// document must hold one non-negative hcsched_ops_total{op} series for each
+// entry of the obs::Counter catalog.
 void check_stats(const JsonValue& root) {
-  require(str(root, "$", "schema") == "hcsched.stats.v1", "$.schema",
-          "expected \"hcsched.stats.v1\"");
+  require(str(root, "$", "schema") == "hcsched.stats.v2", "$.schema",
+          "expected \"hcsched.stats.v2\"");
   nonneg(root, "$", "trials");
   const auto& metrics = array(root, "$", "metrics");
+  std::set<std::string> ops_seen;
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const std::string where = "$.metrics[" + std::to_string(i) + "]";
     const JsonValue& m = metrics[i];
-    require(!str(m, where, "name").empty(), where + ".name",
+    const std::string name = str(m, where, "name");
+    require(!name.empty(), where + ".name",
             "expected a non-empty metric name");
+    std::string op;
+    if (const JsonValue* labels = m.find("labels")) {
+      require(labels->is_object() && !labels->as_object().empty(),
+              where + ".labels", "expected a non-empty object");
+      for (const auto& [key, value] : labels->as_object()) {
+        require(value.is_string(), where + ".labels." + key,
+                "expected a string label value");
+        if (key == "op") op = value.as_string();
+      }
+    }
     const std::string kind = str(m, where, "kind");
     if (kind == "counter" || kind == "gauge") {
-      num(m, where, "value");
+      const double value = num(m, where, "value");
+      if (name == "hcsched_ops_total") {
+        require(value >= 0.0, where + ".value",
+                "expected a non-negative count");
+        ops_seen.insert(op);
+      }
     } else if (kind == "histogram") {
       nonneg(m, where, "count");
       nonneg(m, where, "sum");
@@ -225,11 +246,11 @@ void check_stats(const JsonValue& root) {
       fail(where + ".kind", "unknown kind '" + kind + "'");
     }
   }
-  const JsonValue& counters = field(root, "$", "counters");
-  require(counters.is_object(), "$.counters", "expected an object");
-  for (const auto& [name, value] : counters.as_object()) {
-    require(value.is_number() && value.as_number() >= 0.0,
-            "$.counters." + name, "expected a non-negative number");
+  for (std::size_t i = 0; i < hcsched::obs::kNumCounters; ++i) {
+    const std::string op(
+        hcsched::obs::to_string(static_cast<hcsched::obs::Counter>(i)));
+    require(ops_seen.count(op) != 0, "$.metrics",
+            "missing series hcsched_ops_total{op=\"" + op + "\"}");
   }
 }
 

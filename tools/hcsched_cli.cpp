@@ -76,7 +76,6 @@
 #include "etc/range_generator.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/registry.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
@@ -337,7 +336,7 @@ int cmd_report(const Args& args) {
 
   core::IterativeOptions options;
   options.use_seeding = !args.get("no-seeding").has_value();
-  obs::counters::reset();  // report deltas for this run only
+  obs::metrics::reset();  // report counts for this run only
   const auto result = core::IterativeMinimizer{options}.run(
       *heuristic, sched::Problem::full(matrix), ties);
 
@@ -510,7 +509,6 @@ int cmd_stats(const Args& args) {
                  "zeros\n");
   }
   const sim::StudyParams params = study_params_from(args);
-  obs::counters::reset();
   obs::metrics::reset();
   sim::StudyReport report;
   {
@@ -519,31 +517,16 @@ int cmd_stats(const Args& args) {
   }  // joining the pool flushes every worker's counter buffer
 
   if (format == "prom") {
-    // Typed metrics first, then the fixed counter table as one labelled
-    // family so scrape configs need no per-counter name list.
-    std::string text = obs::metrics::prometheus_text();
-    text +=
-        "# HELP hcsched_ops_total Monotonic operation counters (see "
-        "docs/OBSERVABILITY.md)\n"
-        "# TYPE hcsched_ops_total counter\n";
-    const obs::JsonValue counters = obs::counters::snapshot().to_json();
-    for (const auto& [name, value] : counters.as_object()) {
-      text += "hcsched_ops_total{op=\"" + name + "\"} " +
-              std::to_string(static_cast<unsigned long long>(
-                  value.as_number())) +
-              "\n";
-    }
-    std::printf("%s", text.c_str());
+    std::printf("%s", obs::metrics::prometheus_text().c_str());
   } else {
     obs::JsonValue::Object root;
-    root.reserve(5);
-    root.emplace_back("schema", obs::JsonValue("hcsched.stats.v1"));
+    root.reserve(4);
+    root.emplace_back("schema", obs::JsonValue("hcsched.stats.v2"));
     root.emplace_back("trials", obs::JsonValue(report.trials_completed));
     root.emplace_back("heuristics",
                       obs::JsonValue(params.heuristics.size()));
     root.emplace_back("metrics",
                       obs::metrics::snapshot_json().at("metrics"));
-    root.emplace_back("counters", obs::counters::snapshot().to_json());
     std::printf("%s\n", obs::JsonValue(std::move(root)).dump(2).c_str());
   }
   print_report_notices(report, "stats");
