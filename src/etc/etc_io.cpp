@@ -89,6 +89,16 @@ EtcMatrix read_csv(std::istream& is) {
       values.push_back(parse_cell(cell, t, j));
     }
   }
+  // A column past kMaxColumnSum would let a completion time overflow. (A
+  // matrix with no rows has nothing to sum, however wide its header.)
+  for (std::size_t j = 0; j < machines && !rows.empty(); ++j) {
+    double sum = 0.0;
+    for (const std::vector<double>& values : rows) sum += values[j];
+    if (!(sum <= kMaxColumnSum)) {
+      throw std::runtime_error("EtcMatrix CSV: column " + std::to_string(j) +
+                               " sums past the largest completion time");
+    }
+  }
   return tasks == 0 ? EtcMatrix(0, machines) : EtcMatrix::from_rows(rows);
 }
 

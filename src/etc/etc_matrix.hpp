@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,14 @@ namespace hcsched::etc {
 
 using TaskId = std::int32_t;
 using MachineId = std::int32_t;
+
+/// Largest machine-column sum, ready time included, that an input may have.
+/// Every completion time a mapping reaches is such a sum of non-negative
+/// terms, added in the mapping's order. Re-ordering the terms moves the
+/// rounded sum by far less than a factor of two, so half the largest double
+/// keeps every completion time finite in every order — which the kernels'
+/// +inf sentinels and the reports' integer formatting rely on.
+inline constexpr double kMaxColumnSum = std::numeric_limits<double>::max() / 2;
 
 class EtcMatrix {
  public:

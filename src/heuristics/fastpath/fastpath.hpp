@@ -80,7 +80,9 @@ class ScopedMode {
 
 /// Two-phase greedy (Min-Min / Max-Min, and Duplex which runs both):
 /// cached phase-one decisions replayed until the updated machine slot
-/// enters a task's epsilon-tied best set.
+/// enters a task's epsilon-tied best set; per-slot buckets find those
+/// tasks and a tournament tree serves phase two, so a round costs only
+/// what it invalidated.
 Schedule two_phase_greedy_fast(const Problem& problem, TieBreaker& ties,
                                bool prefer_largest);
 

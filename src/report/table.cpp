@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 namespace hcsched::report {
 
 std::string TextTable::num(double value, int max_decimals) {
+  // Every double this large is an integer, but not one long long holds:
+  // print it in scientific form instead of through an out-of-range cast.
+  if (std::fabs(value) >= 0x1p63) {
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::digits10);
+    os << value;
+    return os.str();
+  }
   const double rounded = std::round(value);
   if (std::fabs(value - rounded) < 1e-9) {
     std::ostringstream os;

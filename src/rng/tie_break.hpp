@@ -62,6 +62,10 @@ class TieBreaker {
   /// Choose among an explicit tied set (indices into some caller structure).
   std::size_t choose_among(std::span<const std::size_t> tied);
 
+  /// Records `count` decisions whose tied set was a single candidate, in
+  /// bulk: the counts choose_among would add for each, with no draw.
+  void note_forced(std::size_t count) noexcept;
+
   /// Number of genuine ties (|tied set| > 1) resolved so far.
   std::size_t tie_events() const noexcept { return tie_events_; }
 
@@ -72,7 +76,11 @@ class TieBreaker {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  std::size_t resolve(const std::vector<std::size_t>& tied);
+  /// The choice among the indices of `scores` tied with `best`.
+  std::size_t choose_tied_with(std::span<const double> scores, double best);
+  /// Rank of the chosen candidate in a tied set of `count` (npos when
+  /// empty), consuming one RNG draw or script entry iff count > 1.
+  std::size_t resolve(std::size_t count);
 
   TiePolicy policy_;
   Rng* rng_ = nullptr;

@@ -38,6 +38,20 @@ Problem::Problem(const EtcMatrix& matrix, std::vector<TaskId> tasks,
                                   std::to_string(m));
     }
   }
+  // A ready time starts every completion-time sum on its machine, so it
+  // must leave the column within etc::kMaxColumnSum (the CSV reader has
+  // already checked the zero-ready case).
+  for (std::size_t slot = 0; slot < machines_.size(); ++slot) {
+    if (ready_[slot] == 0.0) continue;
+    double sum = ready_[slot];
+    for (TaskId t : tasks_) sum += matrix.at(t, machines_[slot]);
+    if (!(sum <= etc::kMaxColumnSum)) {
+      throw std::invalid_argument(
+          "Problem: ready time of machine " +
+          std::to_string(machines_[slot]) +
+          " plus its ETC column sums past the largest completion time");
+    }
+  }
 }
 
 Problem Problem::full(const EtcMatrix& matrix) {

@@ -89,6 +89,16 @@ TEST(EtcIo, PartlyParsedCellThrows) {
   expect_cell_error("1,2\nabc,2\n", "row 0, column 0");
 }
 
+TEST(EtcIo, ColumnOverflow) {
+  // Each cell is finite, but mapping both tasks to one machine is not:
+  // these once segfaulted Min-Min, aborted MCT, hung Sufferage and printed
+  // a makespan of -9223372036854775808.
+  expect_cell_error("2,1\n1e308\n1e308\n", "column 0");
+  expect_cell_error("2,2\n1,1e308\n3,1e308\n", "column 1");
+  // Up to half the largest double a column is accepted.
+  EXPECT_EQ(from_csv("2,1\n4e307\n4e307\n").num_tasks(), 2u);
+}
+
 TEST(EtcIo, TrailingWhitespaceAndCrlfAccepted) {
   EXPECT_EQ(from_csv("2,2\r\n1,2\r\n3.5 ,4\t\r\n"),
             EtcMatrix::from_rows({{1, 2}, {3.5, 4}}));

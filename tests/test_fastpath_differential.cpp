@@ -9,7 +9,8 @@
 // EVERY row of the fastpath dispatch table — the covered-heuristic set is
 // derived from kernel_table(), never hardcoded, so registering a kernel
 // automatically enrolls it here — plus whole-minimizer iterative
-// differentials, non-default-knob trace comparisons, golden pins against
+// differentials, non-default-knob trace comparisons, a two-phase sweep over
+// odd tree shapes and tie-dense cells, golden pins against
 // the paper's worked examples, a regression pinning the reference's
 // load-bearing phase-two list order, and the switch surface itself.
 // docs/FASTPATH.md documents the invariant being tested.
@@ -243,6 +244,105 @@ EtcMatrix cvb_matrix(std::uint64_t seed, std::size_t tasks,
   params.mean_task_time = mean;
   Rng rng(seed);
   return hcsched::etc::CvbEtcGenerator(params).generate(rng);
+}
+
+/// Tie-dense integer ETC: every cell in {1, 2, 3}, so completion times
+/// collide in both phases nearly every round.
+EtcMatrix tie_dense_matrix(std::uint64_t seed, std::size_t tasks,
+                           std::size_t machines) {
+  Rng rng(seed);
+  EtcMatrix m(tasks, machines);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    for (std::size_t j = 0; j < machines; ++j) {
+      m.at(static_cast<hcsched::etc::TaskId>(t),
+           static_cast<hcsched::etc::MachineId>(j)) =
+          1.0 + static_cast<double>(rng.below(3));
+    }
+  }
+  return m;
+}
+
+TEST(FastpathDifferential, TwoPhaseTreeShapesAndDenseTiesMatchReference) {
+  // Aimed at the two-phase kernel's structure: task counts that are not
+  // powers of two (padded tournament-tree leaves; n = 1 is a lone root
+  // leaf), a single machine (every task sits in one bucket), and integer
+  // cells that put most tasks in multi-candidate tied sets and most rounds
+  // into a phase-two tie. Min-Min and Max-Min under deterministic,
+  // scripted and several random streams.
+  namespace h = hcsched::heuristics;
+  std::size_t reference_tie_events = 0;
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 33u}) {
+    for (const std::size_t m : {1u, 2u, 5u}) {
+      for (const bool largest : {false, true}) {
+        for (std::uint64_t variant = 0; variant < 6; ++variant) {
+          const std::uint64_t seed = n * 131 + m * 7 + variant;
+          const EtcMatrix etc = tie_dense_matrix(seed, n, m);
+          const Problem problem = Problem::full(etc);
+          Rng script_rng(seed);
+          std::vector<std::size_t> script(4 * n);
+          for (std::size_t& entry : script) {
+            entry = static_cast<std::size_t>(script_rng.below(4));
+          }
+          Rng ref_rng(seed * 17);
+          Rng fast_rng(seed * 17);
+          const auto make_ties = [&](Rng& rng) {
+            if (variant == 0) return TieBreaker();
+            if (variant == 1) return TieBreaker(script);
+            return TieBreaker(rng);
+          };
+          TieBreaker ref_ties = make_ties(ref_rng);
+          TieBreaker fast_ties = make_ties(fast_rng);
+          const std::string what =
+              (largest ? "Max-Min" : "Min-Min") + std::string(" n=") +
+              std::to_string(n) + " m=" + std::to_string(m) +
+              " variant=" + std::to_string(variant);
+
+          namespace obs = hcsched::obs;
+          const std::uint64_t ref_before =
+              obs::counters::read(obs::Counter::kTieDecisions);
+          const Schedule ref =
+              h::detail::two_phase_greedy_reference(problem, ref_ties,
+                                                    largest);
+          const std::uint64_t fast_before =
+              obs::counters::read(obs::Counter::kTieDecisions);
+          const std::uint64_t rescores_before =
+              obs::counters::read(obs::Counter::kFastpathRescores);
+          const std::uint64_t replays_before =
+              obs::counters::read(obs::Counter::kFastpathReplays);
+          const Schedule fast =
+              fastpath::two_phase_greedy_fast(problem, fast_ties, largest);
+          const std::uint64_t fast_after =
+              obs::counters::read(obs::Counter::kTieDecisions);
+
+          expect_same_schedule(ref, fast, what);
+          EXPECT_EQ(ref_ties.decisions(), fast_ties.decisions()) << what;
+          EXPECT_EQ(ref_ties.tie_events(), fast_ties.tie_events()) << what;
+          reference_tie_events += ref_ties.tie_events();
+#if HCSCHED_TRACE
+          // Every surviving task is either rescored or replayed each
+          // round: n + (n - 1) + ... + 1 of them, however few are rescored.
+          EXPECT_EQ(
+              obs::counters::read(obs::Counter::kFastpathRescores) -
+                  rescores_before +
+                  obs::counters::read(obs::Counter::kFastpathReplays) -
+                  replays_before,
+              n * (n + 1) / 2)
+              << what;
+          EXPECT_EQ(fast_after - fast_before, fast_before - ref_before)
+              << what;
+#else
+          (void)ref_before;
+          (void)fast_before;
+          (void)fast_after;
+          (void)rescores_before;
+          (void)replays_before;
+#endif
+        }
+      }
+    }
+  }
+  // The sweep is only meaningful if the ties are actually there.
+  EXPECT_GT(reference_tie_events, 1000u);
 }
 
 TEST(FastpathDifferential, SufferageEncounterOrderRequeueMatchesReference) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace {
 
 using hcsched::etc::EtcMatrix;
@@ -62,6 +64,15 @@ TEST(Problem, RejectsDuplicateIds) {
 TEST(Problem, RejectsMismatchedReadyVector) {
   const EtcMatrix m = matrix3x3();
   EXPECT_THROW(Problem(m, {0}, {0, 1}, {1.0}), std::invalid_argument);
+}
+
+TEST(Problem, RejectsOverflow) {
+  const EtcMatrix m = matrix3x3();
+  EXPECT_THROW(Problem(m, {0, 1}, {0, 1}, {0.0, 1e308}),
+               std::invalid_argument);
+  EXPECT_THROW(Problem(m, {0}, {0, 1}, {std::nan(""), 0.0}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Problem(m, {0, 1}, {0, 1}, {4e307, 2.0}));
 }
 
 TEST(Problem, WithoutMachineDropsMachineAndTasks) {

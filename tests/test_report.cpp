@@ -21,6 +21,13 @@ TEST(TextTable, NumFormatsLikeThePaper) {
   EXPECT_EQ(TextTable::num(-3.0), "-3");
 }
 
+TEST(TextTable, NumPastLongLong) {
+  // Once cast to long long: 1e308 printed as -9223372036854775808.
+  EXPECT_EQ(TextTable::num(1e308), "1e+308");
+  EXPECT_EQ(TextTable::num(-1e19), "-1e+19");
+  EXPECT_EQ(TextTable::num(9007199254740992.0), "9007199254740992");
+}
+
 TEST(TextTable, RendersAlignedGrid) {
   TextTable t({"task", "machine"});
   t.add_row({"t0", "m1"});
