@@ -1,5 +1,6 @@
 #include "rng/rng.hpp"
 
+#include <bit>
 #include <cmath>
 
 namespace hcsched::rng {
@@ -68,7 +69,14 @@ double Rng::gamma(double shape, double scale) noexcept {
 Rng Rng::split(std::size_t stream_index) const noexcept {
   Rng child = *this;
   child.has_spare_normal_ = false;
-  for (std::size_t i = 0; i <= stream_index; ++i) child.engine_.jump();
+  // stream_index + 1 jumps, one table jump per set bit: jumps are powers of
+  // the same linear map, so they commute and compose exactly. The count
+  // wraps to 0 only for SIZE_MAX, which means 2^64 jumps.
+  const std::uint64_t jumps = std::uint64_t{stream_index} + 1;
+  if (jumps == 0) child.engine_.jump_pow2(64);
+  for (std::uint64_t rest = jumps; rest != 0; rest &= rest - 1) {
+    child.engine_.jump_pow2(static_cast<unsigned>(std::countr_zero(rest)));
+  }
   return child;
 }
 

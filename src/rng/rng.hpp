@@ -65,8 +65,10 @@ class Rng {
     }
   }
 
-  /// A statistically independent child stream: jumps a copy of the engine
-  /// `stream_index + 1` times (each jump is 2^128 steps).
+  /// A statistically independent child stream: a copy of the engine moved
+  /// `stream_index + 1` jumps ahead (each jump is 2^128 steps), without a
+  /// cached spare normal. Costs popcount(stream_index + 1) jumps, and the
+  /// stream is identical to jumping `stream_index + 1` times one by one.
   Rng split(std::size_t stream_index) const noexcept;
 
   Xoshiro256ss& engine() noexcept { return engine_; }

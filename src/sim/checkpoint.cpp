@@ -140,8 +140,7 @@ std::vector<QuarantineRecord> decode_quarantined(const obs::JsonValue& value,
 const TrialOutcome* CheckpointData::find(std::string_view point,
                                          std::uint64_t seed,
                                          std::size_t trial) const {
-  const auto it =
-      trials.find(CheckpointKey{std::string(point), seed, trial});
+  const auto it = trials.find(CheckpointKeyView{point, seed, trial});
   return it == trials.end() ? nullptr : &it->second;
 }
 

@@ -26,8 +26,10 @@
 //    "quarantined":[{"heuristic":"...","site":"...","error":"..."}, ...]}
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -39,23 +41,39 @@
 
 namespace hcsched::sim {
 
+/// Non-owning view of a checkpoint key: lookups compare against it, so a
+/// find never copies the point label.
+struct CheckpointKeyView {
+  std::string_view point{};
+  std::uint64_t seed = 0;
+  std::size_t trial = 0;
+
+  friend auto operator<=>(const CheckpointKeyView&,
+                          const CheckpointKeyView&) = default;
+};
+
 /// Key of one checkpoint record.
 struct CheckpointKey {
   std::string point{};
   std::uint64_t seed = 0;
   std::size_t trial = 0;
 
-  friend bool operator<(const CheckpointKey& a, const CheckpointKey& b) {
-    if (a.point != b.point) return a.point < b.point;
-    if (a.seed != b.seed) return a.seed < b.seed;
-    return a.trial < b.trial;
+  CheckpointKeyView view() const noexcept { return {point, seed, trial}; }
+
+  friend auto operator<=>(const CheckpointKey& a, const CheckpointKey& b) {
+    return a.view() <=> b.view();
+  }
+  friend auto operator<=>(const CheckpointKey& a, const CheckpointKeyView& b) {
+    return a.view() <=> b;
   }
 };
 
 /// Parsed checkpoint contents: completed trials by key, plus load
 /// diagnostics.
 struct CheckpointData {
-  std::map<CheckpointKey, TrialOutcome> trials{};
+  /// Ordered by (point, seed, trial); std::less<> also accepts a
+  /// CheckpointKeyView, so find() does not allocate.
+  std::map<CheckpointKey, TrialOutcome, std::less<>> trials{};
   std::size_t lines_read = 0;
   std::size_t corrupt_lines = 0;
 

@@ -1,6 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -253,16 +252,15 @@ StudyReport run_iterative_study_report(const StudyParams& params,
 
   // One slot per trial; chunks write disjoint indices, so no merge lock and
   // no completion-order dependence. Quarantine capture rides inside each
-  // slot (run_one_trial appends to its own outcome), so the only shared
-  // mutable state here is the replay tally: a pure counter whose value is
-  // read after the parallel_for_chunks barrier — relaxed ordering suffices,
-  // the barrier's join publishes it.
+  // slot (run_one_trial appends to its own outcome).
   std::vector<TrialOutcome> outcomes(params.trials);
-  std::atomic<std::size_t> replayed{0};
+  const auto cancelled = [&hooks] {
+    return hooks.cancel != nullptr && hooks.cancel->cancelled();
+  };
 
-  // The study's own (main-thread) span: covers scheduling, the barrier
-  // wait, and the fold. Trial trees are separate deterministic roots — see
-  // trial_trace_seed — because they run on worker-thread stacks.
+  // The study's own (main-thread) span: covers the replay, scheduling, the
+  // barrier wait, and the fold. Trial trees are separate deterministic
+  // roots — see trial_trace_seed — because they run on worker-thread stacks.
   HCSCHED_SPAN_SEEDED(study_span, "study",
                       params.seed ^ 0x73747564792d3173ULL);
   HCSCHED_SPAN_ATTR(study_span, "trials", obs::JsonValue(params.trials));
@@ -272,8 +270,39 @@ StudyReport run_iterative_study_report(const StudyParams& params,
     HCSCHED_SPAN_ATTR(study_span, "point", obs::JsonValue(hooks.point_label));
   }
 
+  // Replay first, on this thread: checkpointed trials cost a copy each, so
+  // only the trials still to compute are chunked across the pool (a
+  // checkpointed prefix would otherwise finish whole chunks at once and
+  // idle their workers).
+  std::size_t replayed = 0;
+  std::vector<std::size_t> pending;
+  bool stopped = false;
+  {
+    const obs::counters::CounterScope counter_scope;
+    for (std::size_t trial = 0; trial < params.trials; ++trial) {
+      if (cancelled()) {
+        stopped = true;
+        break;
+      }
+      if (hooks.resume != nullptr) {
+        if (const TrialOutcome* stored = hooks.resume->find(
+                hooks.point_label, params.seed, trial)) {
+          outcomes[trial] = *stored;
+          ++replayed;
+          HCSCHED_COUNT(obs::Counter::kCheckpointTrialsReplayed);
+          continue;
+        }
+      }
+      pending.push_back(trial);
+    }
+  }
+  // A fired token may leave trials in neither set.
+  HCSCHED_INVARIANT(stopped || replayed + pending.size() == params.trials,
+                    "replayed ", replayed, " + pending ", pending.size(),
+                    " of ", params.trials, " trials");
+
   pool.parallel_for_chunks(
-      params.trials,
+      pending.size(),
       [&](std::size_t begin, std::size_t end) {
         // Operation counters land in the global table when the scope exits.
         const obs::counters::CounterScope counter_scope;
@@ -288,23 +317,15 @@ StudyReport run_iterative_study_report(const StudyParams& params,
         const core::IterativeMinimizer minimizer{
             core::IterativeOptions{.use_seeding = params.use_seeding}};
 
-        for (std::size_t trial = begin; trial < end; ++trial) {
-          if (hooks.cancel != nullptr && hooks.cancel->cancelled()) break;
-          if (hooks.resume != nullptr) {
-            if (const TrialOutcome* stored = hooks.resume->find(
-                    hooks.point_label, params.seed, trial)) {
-              outcomes[trial] = *stored;
-              replayed.fetch_add(1, std::memory_order_relaxed);
-              HCSCHED_COUNT(obs::Counter::kCheckpointTrialsReplayed);
-              continue;
-            }
-          }
+        for (std::size_t i = begin; i < end; ++i) {
+          if (cancelled()) break;
+          const std::size_t trial = pending[i];
           TrialOutcome outcome =
               run_one_trial(params, trial, instances, generator, minimizer);
           // A trial the budget interrupted mid-flight holds degraded
           // best-so-far mappings; discard it so completed trials — and the
           // checkpoint — only ever hold clean, reproducible results.
-          if (hooks.cancel != nullptr && hooks.cancel->cancelled()) break;
+          if (cancelled()) break;
           if (hooks.checkpoint != nullptr) {
             try {
               hooks.checkpoint->append_trial(
@@ -325,9 +346,8 @@ StudyReport run_iterative_study_report(const StudyParams& params,
       hooks.cancel);
 
   StudyReport report = fold_outcomes(params, std::move(outcomes));
-  report.trials_replayed = replayed.load(std::memory_order_relaxed);
-  if (hooks.cancel != nullptr && hooks.cancel->cancelled() &&
-      report.trials_completed < report.trials_requested) {
+  report.trials_replayed = replayed;
+  if (cancelled() && report.trials_completed < report.trials_requested) {
     report.cancelled = true;
     HCSCHED_COUNT(obs::Counter::kStudiesCancelled);
     HCSCHED_TRACE_EVENT(

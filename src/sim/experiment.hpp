@@ -25,7 +25,8 @@
 //     heuristics); completed trials are kept and the report is flagged;
 //   * StudyHooks::checkpoint streams each completed trial to a JSONL file;
 //     StudyHooks::resume replays previously completed trials by
-//     (point, seed, trial) key without recomputation.
+//     (point, seed, trial) key without recomputation, on the calling
+//     thread before the pool computes the rest.
 #pragma once
 
 #include <string>

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/cancel.hpp"
 #include "etc/consistency.hpp"
 #include "obs/counters.hpp"
 #include "sim/experiment.hpp"
@@ -346,6 +348,82 @@ TEST_F(CheckpointResumeTest, ResumeIgnoresOtherPointsSeedsAndTrials) {
       hcsched::sim::run_iterative_study_report(params, pool, hooks);
   EXPECT_EQ(resumed.trials_replayed, 0u);
   expect_rows_identical(clean.rows, resumed.rows);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointResumeTest, NonPrefixSubsetReplaysExactly) {
+  // Replay runs before the computed trials are chunked, so a checkpoint
+  // with holes (odd trials plus the last) leaves an interleaved pending
+  // set; random ties pin that each recomputed trial keeps its own streams.
+  StudyParams params = small_params();
+  params.trials = 9;
+  params.tie_policy = hcsched::rng::TiePolicy::kRandom;
+  ThreadPool pool(3);
+  const StudyReport clean =
+      hcsched::sim::run_iterative_study_report(params, pool);
+
+  const std::string path = tmp_path("non_prefix");
+  std::remove(path.c_str());
+  {
+    CheckpointWriter writer(path);
+    StudyHooks hooks;
+    hooks.checkpoint = &writer;
+    hcsched::sim::run_iterative_study_report(params, pool, hooks);
+  }
+  const CheckpointData full = hcsched::sim::load_checkpoint(path);
+  ASSERT_EQ(full.trials.size(), params.trials);
+  CheckpointData subset;
+  for (const auto& [key, outcome] : full.trials) {
+    if (key.trial % 2 == 1 || key.trial + 1 == params.trials) {
+      subset.trials.emplace(key, outcome);
+    }
+  }
+  ASSERT_EQ(subset.trials.size(), 5u);  // 1, 3, 5, 7, 8
+
+  using hcsched::obs::Counter;
+  const std::uint64_t replayed_before =
+      hcsched::obs::counters::read(Counter::kCheckpointTrialsReplayed);
+  StudyHooks hooks;
+  hooks.resume = &subset;
+  const StudyReport resumed =
+      hcsched::sim::run_iterative_study_report(params, pool, hooks);
+  EXPECT_EQ(resumed.trials_replayed, 5u);
+  EXPECT_EQ(resumed.trials_completed, params.trials);
+  EXPECT_FALSE(resumed.cancelled);
+  expect_rows_identical(clean.rows, resumed.rows);
+  if (hcsched::obs::kTraceCompiledIn) {
+    EXPECT_EQ(hcsched::obs::counters::read(
+                  Counter::kCheckpointTrialsReplayed) -
+                  replayed_before,
+              5u);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointResumeTest, PreFiredCancelReplaysAndComputesNothing) {
+  StudyParams params = small_params();
+  ThreadPool pool(3);
+  const std::string path = tmp_path("pre_fired");
+  std::remove(path.c_str());
+  {
+    StudyParams first = params;
+    first.trials = 4;
+    CheckpointWriter writer(path);
+    StudyHooks hooks;
+    hooks.checkpoint = &writer;
+    hcsched::sim::run_iterative_study_report(first, pool, hooks);
+  }
+  const CheckpointData data = hcsched::sim::load_checkpoint(path);
+  const hcsched::core::CancelToken token;
+  token.request_cancel();
+  StudyHooks hooks;
+  hooks.resume = &data;
+  hooks.cancel = &token;
+  const StudyReport report =
+      hcsched::sim::run_iterative_study_report(params, pool, hooks);
+  EXPECT_EQ(report.trials_completed, 0u);
+  EXPECT_EQ(report.trials_replayed, 0u);
+  EXPECT_TRUE(report.cancelled);
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -169,6 +170,63 @@ TEST(Rng, SplitStreamsAreIndependentAndDeterministic) {
     if (x == b.next_u64()) ++collisions;
   }
   EXPECT_EQ(collisions, 0);
+}
+
+// -- O(log k) split: identical streams to the one-jump-at-a-time loop -------
+
+using hcsched::rng::Xoshiro256ss;
+
+TEST(Rng, SplitMatchesRepeatedJumps) {
+  // split(k) must equal k + 1 single jumps. The oracle engine advances one
+  // jump per k, covering [0, 2100] and every k in {2^i - 2, 2^i - 1, 2^i}
+  // up to 2^12, where the set bits of k + 1 change the most.
+  for (const std::uint64_t seed : {1ULL, 2007ULL, 0xDEADBEEFCAFEULL}) {
+    SCOPED_TRACE(seed);
+    const Rng base(seed);
+    Xoshiro256ss oracle = Rng(seed).engine();
+    for (std::size_t k = 0; k <= 4096; ++k) {
+      oracle.jump();
+      const bool near_pow2 = ((k + 2) & (k + 1)) == 0 ||
+                             ((k + 1) & k) == 0 || (k & (k - 1)) == 0;
+      if (k > 2100 && !near_pow2) continue;
+      Rng child = base.split(k);
+      ASSERT_EQ(child.engine().state(), oracle.state()) << "k=" << k;
+    }
+  }
+}
+
+TEST(Rng, SplitTableAnchorsMatchPublishedJumps) {
+  // P_0 is the classic 2^128-step jump.
+  Rng a(31);
+  Rng b(31);
+  a.engine().jump_pow2(0);
+  b.engine().jump();
+  EXPECT_EQ(a.engine().state(), b.engine().state());
+
+  // split(SIZE_MAX) is 2^64 jumps = 2^192 steps: the LONG_JUMP polynomial
+  // of Blackman & Vigna's xoshiro256 reference code, kept here only as an
+  // independent oracle for the derived table's last entry.
+  constexpr Xoshiro256ss::JumpPolynomial kLongJump = {
+      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
+      0x39109bb02acbe635ULL};
+  for (const std::uint64_t seed : {31ULL, 4242ULL}) {
+    Rng long_jumped(seed);
+    long_jumped.engine().jump_by(kLongJump);
+    EXPECT_EQ(Rng(seed).split(SIZE_MAX).engine().state(),
+              long_jumped.engine().state());
+  }
+}
+
+TEST(Rng, SplitDropsSpare) {
+  Rng parent(17);
+  parent.normal();  // caches the pair's spare
+  Rng fresh(0);
+  fresh.engine() = parent.engine();  // same engine, no spare cached
+  Rng child = parent.split(5);
+  Rng expected = fresh.split(5);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(child.normal(), expected.normal()) << "draw " << i;
+  }
 }
 
 TEST(Rng, ReproducibleFromSeed) {
