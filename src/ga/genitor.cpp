@@ -1,6 +1,8 @@
 #include "ga/genitor.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
@@ -37,7 +39,19 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
   Population population(config_.population_size, problem.num_tasks(),
                         config_.selection_bias);
   const auto rank = [&](std::size_t slot) {
+    HCSCHED_COUNT(obs::Counter::kGaEvaluations);
     population.insert(slot, fitness(population.genes(slot)));
+  };
+  // Clone inheritance: fitness is a pure function of the genes (same table,
+  // same initial ready times, same addition order), so a member whose genes
+  // equal a live member's gets that member's makespan bit for bit.
+  const auto rank_as = [&](std::size_t slot, double makespan) {
+    HCSCHED_INVARIANT(std::bit_cast<std::uint64_t>(makespan) ==
+                          std::bit_cast<std::uint64_t>(
+                              fitness(population.genes(slot))),
+                      "inherited makespan ", makespan,
+                      " differs from a fresh evaluation of slot ", slot);
+    population.insert(slot, makespan);
   };
   const auto copy_of = [&](std::size_t parent) {
     const std::size_t slot = population.acquire();
@@ -76,22 +90,49 @@ Schedule Genitor::do_map_seeded(const Problem& problem,
     ++last_run_.steps_executed;
     HCSCHED_COUNT(obs::Counter::kGaSteps);
     // Crossover trial (Figure 1, step 3a): both offspring are written into
-    // free slots before either is ranked.
+    // free slots before either is ranked. In a converged population most
+    // offspring equal a parent and inherit its makespan; the parents are
+    // classified before either insert can evict one of them.
     HCSCHED_COUNT(obs::Counter::kGaCrossovers);
-    const std::size_t pa = population.slot_at(population.select_rank(rng));
-    const std::size_t pb = population.slot_at(population.select_rank(rng));
+    const std::size_t ra = population.select_rank(rng);
+    const std::size_t rb = population.select_rank(rng);
+    const std::size_t pa = population.slot_at(ra);
+    const std::size_t pb = population.slot_at(rb);
+    const double ma = population.makespan_at(ra);
+    const double mb = population.makespan_at(rb);
     const std::size_t oa = copy_of(pa);
     const std::size_t ob = copy_of(pb);
-    crossover(population.genes(oa), population.genes(ob), rng);
-    rank(oa);
-    rank(ob);
+    const std::size_t cut =
+        crossover(population.genes(oa), population.genes(ob), rng);
+    switch (offspring_of(population.genes(pa), population.genes(pb), cut)) {
+      case Offspring::kSameAsParents:
+        rank_as(oa, ma);
+        rank_as(ob, mb);
+        break;
+      case Offspring::kSwappedParents:
+        rank_as(oa, mb);
+        rank_as(ob, ma);
+        break;
+      case Offspring::kNew:
+        rank(oa);
+        rank(ob);
+        break;
+    }
 
-    // Mutation trial (Figure 1, step 3b).
+    // Mutation trial (Figure 1, step 3b). Redrawing a gene's own slot
+    // leaves a clone of the parent.
     HCSCHED_COUNT(obs::Counter::kGaMutations);
-    const std::size_t mutant =
-        copy_of(population.slot_at(population.select_rank(rng)));
-    mutate(population.genes(mutant), problem.num_machines(), rng);
-    rank(mutant);
+    const std::size_t rm = population.select_rank(rng);
+    const std::size_t parent = population.slot_at(rm);
+    const std::size_t mutant = copy_of(parent);
+    const std::size_t gene =
+        mutate(population.genes(mutant), problem.num_machines(), rng);
+    if (gene == kNpos ||
+        population.genes(mutant)[gene] == population.genes(parent)[gene]) {
+      rank_as(mutant, population.makespan_at(rm));
+    } else {
+      rank(mutant);
+    }
 
     if (population.best_makespan() < best) {
       best = population.best_makespan();

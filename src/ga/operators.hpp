@@ -19,10 +19,19 @@ namespace hcsched::ga {
 
 /// Single-point crossover in place: `x` and `y` hold copies of the parents
 /// and leave as the offspring. The cut is drawn from [1, n-1] and the genes
-/// below it are swapped, so both offspring mix genes from both parents (for
-/// n < 2 nothing is drawn or changed). Throws on a length mismatch.
-void crossover(std::span<std::uint32_t> x, std::span<std::uint32_t> y,
-               rng::Rng& rng);
+/// below it are swapped, so both offspring mix genes from both parents.
+/// Returns the cut; for n < 2 nothing is drawn or changed and it returns 0.
+/// Throws on a length mismatch.
+std::size_t crossover(std::span<std::uint32_t> x, std::span<std::uint32_t> y,
+                      rng::Rng& rng);
+
+/// Which parents the offspring of a crossover at `cut` equal, gene for
+/// gene. Parents `a` and `b` yield offspring x = b[0, cut) ++ a[cut, n) and
+/// y = a[0, cut) ++ b[cut, n): when the parents agree below the cut,
+/// (x, y) == (a, b); when they agree from the cut on, (x, y) == (b, a).
+enum class Offspring { kNew, kSameAsParents, kSwappedParents };
+Offspring offspring_of(std::span<const std::uint32_t> a,
+                       std::span<const std::uint32_t> b, std::size_t cut);
 
 /// Single-point crossover of two chromosomes into two new offspring.
 std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,

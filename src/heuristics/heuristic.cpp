@@ -1,5 +1,8 @@
 #include "heuristics/heuristic.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -63,9 +66,20 @@ class CallScope {
 };
 #endif
 
+/// Every kernel assumes somewhere to put a task; tasks without machines are
+/// a caller error in every build type, not a contract check.
+void require_machines(const Heuristic& heuristic, const Problem& problem) {
+  if (problem.num_tasks() > 0 && problem.num_machines() == 0) {
+    throw std::invalid_argument(std::string(heuristic.name()) + ": " +
+                                std::to_string(problem.num_tasks()) +
+                                " tasks but no machines");
+  }
+}
+
 }  // namespace
 
 Schedule Heuristic::map(const Problem& problem, TieBreaker& ties) const {
+  require_machines(*this, problem);
   // The heuristic-map fault site, keyed by the thread's current fault key
   // (the study installs its (trial, heuristic) key). One relaxed atomic
   // load when nothing is armed.
@@ -78,6 +92,7 @@ Schedule Heuristic::map(const Problem& problem, TieBreaker& ties) const {
 
 Schedule Heuristic::map_seeded(const Problem& problem, TieBreaker& ties,
                                const Schedule* seed) const {
+  require_machines(*this, problem);
   sim::fault::maybe_inject_here(sim::fault::Site::kHeuristicMap);
 #if HCSCHED_TRACE
   const CallScope scope(*this, problem, /*seeded=*/seed != nullptr);

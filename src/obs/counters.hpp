@@ -29,6 +29,7 @@ enum class Counter : std::size_t {
   kGaSteps,                   ///< Genitor steady-state steps
   kGaCrossovers,              ///< Genitor crossovers applied
   kGaMutations,               ///< Genitor mutation trials
+  kGaEvaluations,             ///< Genitor full fitness passes run
   kSearchNodesExpanded,       ///< A* / branch-and-bound nodes expanded
   kIterativeRuns,             ///< IterativeMinimizer::run calls
   kIterativeIterations,       ///< iterations across all runs

@@ -90,8 +90,8 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("JsonValue::parse: " + what + " at offset " +
-                                std::to_string(pos_));
+    throw JsonParseError("JsonValue::parse: " + what + " at offset " +
+                         std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -118,13 +118,19 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays and objects around the value; the reader
+  /// recurses once per level, so the limit bounds its stack on any input.
+  JsonValue parse_value(std::size_t depth = 0) {
     skip_ws();
-    switch (peek()) {
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth == JsonValue::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth));
+    }
+    switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         return JsonValue(parse_string());
       case 't':
@@ -141,7 +147,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     expect('{');
     JsonValue::Object members;
     skip_ws();
@@ -154,7 +160,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -165,7 +171,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     expect('[');
     JsonValue::Array items;
     skip_ws();
@@ -174,7 +180,7 @@ class Parser {
       return JsonValue(std::move(items));
     }
     for (;;) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,6 +18,13 @@
 #include <vector>
 
 namespace hcsched::obs {
+
+/// Raised by JsonValue::parse for malformed text, trailing garbage, or
+/// nesting deeper than JsonValue::kMaxDepth.
+class JsonParseError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class JsonValue {
  public:
@@ -79,8 +87,11 @@ class JsonValue {
   /// form); indent >= 0 -> pretty-printed with that many spaces per level.
   std::string dump(int indent = -1) const;
 
-  /// Strict parse of a complete JSON document (throws std::invalid_argument
-  /// on syntax errors or trailing garbage).
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  /// Strict parse of a complete JSON document (throws JsonParseError on
+  /// syntax errors, trailing garbage or nesting past kMaxDepth).
   static JsonValue parse(std::string_view text);
 
   bool operator==(const JsonValue&) const = default;

@@ -16,13 +16,14 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "heuristic_invocations", "etc_cell_evaluations",
     "tie_decisions",         "tie_events",
     "ga_steps",              "ga_crossovers",
-    "ga_mutations",          "search_nodes_expanded",
-    "iterative_runs",        "iterative_iterations",
-    "pool_tasks_submitted",  "pool_tasks_completed",
-    "fastpath_rescores",     "fastpath_replays",
-    "faults_injected",       "trials_quarantined",
-    "studies_cancelled",     "checkpoint_trials_written",
-    "checkpoint_trials_replayed", "checkpoint_corrupt_lines",
+    "ga_mutations",          "ga_evaluations",
+    "search_nodes_expanded", "iterative_runs",
+    "iterative_iterations",  "pool_tasks_submitted",
+    "pool_tasks_completed",  "fastpath_rescores",
+    "fastpath_replays",      "faults_injected",
+    "trials_quarantined",    "studies_cancelled",
+    "checkpoint_trials_written", "checkpoint_trials_replayed",
+    "checkpoint_corrupt_lines",
 };
 
 bool valid_metric_name(std::string_view name, bool allow_colon) {

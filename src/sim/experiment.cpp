@@ -307,7 +307,7 @@ StudyReport run_iterative_study_report(const StudyParams& params,
         // Operation counters land in the global table when the scope exits.
         const obs::counters::CounterScope counter_scope;
         // Heuristic instances are stateless across trials (Genitor carries
-        // only last-run stats), so construct once per chunk.
+        // only last-run stats), so construct once per claimed chunk.
         std::vector<std::unique_ptr<heuristics::Heuristic>> instances;
         instances.reserve(params.heuristics.size());
         for (const auto& name : params.heuristics) {

@@ -118,33 +118,38 @@ void ThreadPool::parallel_for_chunks(
     const core::CancelToken* cancel) {
   if (n == 0) return;
   HCSCHED_PRECONDITION(body != nullptr, "chunk body must be callable");
-  const std::size_t chunks = std::min(n, size());
+  const std::size_t jobs = std::min(n, size());
+  // About eight claims per worker: small enough that a slow trial does not
+  // leave the other workers idle at the end, large enough that claiming
+  // stays off the profile.
+  const std::size_t grain = std::max<std::size_t>(1, n / (8 * size()));
+  // Next unclaimed index. Claims are disjoint ranges of [0, n) by the
+  // atomic increment, which is all they need, so every access is relaxed:
+  // the futures' drain below orders each job before this call returns. The
+  // cursor ends at most jobs * grain past n.
+  std::atomic<std::size_t> cursor{0};
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    futures.push_back(submit([&body, cancel, begin, end] {
-      // A chunk that has not started when the token fires is skipped; a
-      // running chunk sees the token via the thread-local install and winds
-      // down cooperatively.
-      if (cancel != nullptr && cancel->cancelled()) return;
+  futures.reserve(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    futures.push_back(submit([&body, &cursor, cancel, n, grain] {
+      // The token is re-checked before every claim: ranges not yet claimed
+      // when it fires are skipped; a running body sees the token via the
+      // thread-local install and winds down cooperatively.
       const core::ScopedCancel cancel_scope(cancel);
-      body(begin, end);
+      for (;;) {
+        if (cancel != nullptr && cancel->cancelled()) return;
+        const std::size_t begin =
+            cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) return;
+        body(begin, std::min(n, begin + grain));
+      }
     }));
-    begin = end;
   }
-  // The chunks partition [0, n): disjoint by construction, and together
-  // they must cover the whole index range.
-  HCSCHED_INVARIANT(begin == n, "chunking covered ", begin, " of ", n,
-                    " indices");
-  // Wait for EVERY chunk before returning, even after a failure: queued
-  // chunks capture `body` by reference, so returning early would leave jobs
-  // holding a dangling reference to the caller's function object (found by
-  // the TSan stress suite). The first exception is rethrown after the drain.
+  // Wait for EVERY job before returning, even after a failure: jobs capture
+  // `body` and `cursor` by reference, so returning early would leave them
+  // dangling (found by the TSan stress suite). A job whose body throws
+  // stops claiming; the others claim what it leaves. The first exception
+  // is rethrown after the drain.
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {
@@ -153,6 +158,12 @@ void ThreadPool::parallel_for_chunks(
       if (!first_error) first_error = std::current_exception();
     }
   }
+  // Unless a body failed or the token fired, the claims covered [0, n).
+  HCSCHED_INVARIANT(first_error || (cancel != nullptr && cancel->cancelled()) ||
+                        cursor.load(std::memory_order_relaxed) >= n,
+                    "claims covered ",
+                    cursor.load(std::memory_order_relaxed), " of ", n,
+                    " indices");
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -2,11 +2,12 @@
 //
 // Workers pull std::move_only_function jobs from one mutex-guarded queue —
 // contention is negligible because the harness submits coarse trial-sized
-// jobs. parallel_for_chunks statically splits an index range into one chunk
-// per worker (trials are balanced by construction: each runs the same
-// heuristics on same-sized instances). Exceptions thrown by jobs are
-// captured into the future returned by submit(); parallel_for_chunks
-// rethrows the first one.
+// jobs. parallel_for_chunks submits one job per worker, and each job claims
+// small ranges of the index space from a shared atomic cursor until none
+// are left, so a worker that drew cheap trials takes more of them instead
+// of idling at the barrier (trials of one shape still differ in cost).
+// Exceptions thrown by jobs are captured into the future returned by
+// submit(); parallel_for_chunks rethrows the first one.
 //
 // Lock discipline is compiler-checked: queue state lives behind the
 // annotated core::Mutex capability (core/thread_annotations.hpp) and every
@@ -19,11 +20,12 @@
 //     fault::Site::kPoolJobStart plan (keyed by a process-wide submit
 //     sequence number) makes the job fail before its body runs, modelling a
 //     lost worker; the error flows through the future like any job error.
-//   * parallel_for_chunks accepts an optional CancelToken. A cancelled
-//     token makes not-yet-started chunk bodies no-ops, and is installed as
-//     the worker thread's current token (core::ScopedCancel) for the body's
-//     duration, so code deep inside a chunk — the anytime heuristics — can
-//     poll core::cancellation_requested() without any explicit plumbing.
+//   * parallel_for_chunks accepts an optional CancelToken. Jobs re-check a
+//     cancelled token before every claim, so ranges not yet claimed are
+//     skipped, and it is installed as the worker thread's current token
+//     (core::ScopedCancel) for the job's duration, so code deep inside a
+//     chunk — the anytime heuristics — can poll
+//     core::cancellation_requested() without any explicit plumbing.
 #pragma once
 
 #include <cstddef>
@@ -53,15 +55,19 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> job)
       HCSCHED_EXCLUDES(queue_mutex_);
 
-  /// Runs body(begin, end) over disjoint chunks of [0, n) across the pool,
-  /// blocking until every chunk has finished (even after a failure — queued
-  /// chunks reference `body`, so no job may outlive this call). The first
-  /// chunk exception is rethrown once all chunks are done.
+  /// Runs body(begin, end) over disjoint chunks of [0, n) across the pool:
+  /// min(n, size()) jobs each claim chunks of max(1, n / (8 * size()))
+  /// indices from a shared cursor until [0, n) is exhausted, so which
+  /// worker runs an index, and with which neighbours, is unspecified.
+  /// Blocks until every job has finished (even after a failure — queued
+  /// jobs reference `body`, so no job may outlive this call). A job whose
+  /// body throws claims no more chunks; the first exception is rethrown
+  /// once all jobs are done.
   ///
-  /// `cancel` (borrowed; may be null) is installed as each chunk's current
-  /// token; a chunk whose body has not started when the token fires is
-  /// skipped outright. Cancellation is cooperative and never raises — the
-  /// caller inspects the token afterwards.
+  /// `cancel` (borrowed; may be null) is installed as each job's current
+  /// token and re-checked before every claim: a chunk not yet claimed when
+  /// the token fires is skipped outright. Cancellation is cooperative and
+  /// never raises — the caller inspects the token afterwards.
   void parallel_for_chunks(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& body,

@@ -166,6 +166,27 @@ TEST(CheckpointCodec, RejectsCorruptInput) {
                    .has_value());
 }
 
+// A line of 2,000,000 '[' once overflowed the reader's stack (SIGSEGV on
+// --resume); past JsonValue::kMaxDepth it is an ordinary corrupt line.
+TEST(CheckpointCodec, DeepNesting) {
+  using hcsched::obs::JsonParseError;
+  using hcsched::obs::JsonValue;
+  EXPECT_FALSE(
+      hcsched::sim::decode_trial(std::string(2'000'000, '[')).has_value());
+  const std::size_t max = JsonValue::kMaxDepth;
+  EXPECT_NO_THROW(
+      (void)JsonValue::parse(std::string(max, '[') + std::string(max, ']')));
+  EXPECT_THROW(
+      (void)JsonValue::parse(std::string(max + 1, '[') +
+                             std::string(max + 1, ']')),
+      JsonParseError);
+  std::string objects;
+  for (std::size_t i = 0; i <= max; ++i) objects += "{\"a\":";
+  objects += "0" + std::string(max + 1, '}');
+  EXPECT_THROW((void)JsonValue::parse(objects), JsonParseError);
+  EXPECT_THROW((void)JsonValue::parse("[1,"), JsonParseError);
+}
+
 // -- load -----------------------------------------------------------------
 
 TEST(CheckpointLoad, MissingFileIsEmpty) {

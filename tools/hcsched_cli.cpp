@@ -49,7 +49,9 @@
 //                        (docs/BASELINES.md)
 //
 // Exit status: 0 on success, 1 on bad usage — including unknown flags and
-// malformed numeric values — or (witness) not found. Usage/help goes to
+// malformed numeric values — or (witness) not found; 2 when a study,
+// sweep or stats count is out of range (--trials or --tasks below 0,
+// --machines below 1). Usage/help goes to
 // stdout for `help`, stderr on error paths. Informational robustness
 // notices (resume/quarantine/cancel summaries) go to stderr so stdout
 // stays diffable.
@@ -63,6 +65,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -387,14 +390,31 @@ RobustnessSetup make_robustness(const Args& args) {
   return setup;
 }
 
+/// A flag value outside its documented range: main() prints the error and
+/// the usage line and exits 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// --`key` as a count of at least `min` (UsageError below it).
+std::size_t count_flag(const Args& args, const std::string& key,
+                       long long fallback, long long min) {
+  const long long value = args.get_ll(key, fallback);
+  if (value < min) {
+    throw UsageError("--" + key + " must be at least " + std::to_string(min) +
+                     ", got " + std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 sim::StudyParams study_params_from(const Args& args) {
   sim::StudyParams params;
   params.heuristics = {"MET",       "MCT", "Min-Min", "Genitor", "SWA",
                        "Sufferage", "KPB"};
-  params.trials = static_cast<std::size_t>(args.get_ll("trials", 25));
-  params.cvb.num_tasks = static_cast<std::size_t>(args.get_ll("tasks", 24));
-  params.cvb.num_machines =
-      static_cast<std::size_t>(args.get_ll("machines", 6));
+  params.trials = count_flag(args, "trials", 25, 0);
+  params.cvb.num_tasks = count_flag(args, "tasks", 24, 0);
+  params.cvb.num_machines = count_flag(args, "machines", 6, 1);
   params.seed = static_cast<std::uint64_t>(args.get_ll("seed", 7));
   params.tie_policy = args.get_or("ties", "det") == "random"
                           ? rng::TiePolicy::kRandom
@@ -764,6 +784,10 @@ int main(int argc, char** argv) {
                    profiler->size(), profile_path->c_str());
     }
     return status;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
