@@ -9,16 +9,12 @@ namespace hcsched::heuristics::fastpath {
 
 namespace {
 
-std::atomic<Mode>& mode_flag() noexcept {
-  static std::atomic<Mode> flag{Mode::kAuto};
-  return flag;
-}
-
-bool env_default() noexcept {
+std::atomic<bool>& switch_flag() noexcept {
   // Read once: the environment is a process-start default, not a live knob
-  // (set_mode is the runtime override).
-  static const bool enabled = env_value_enables(std::getenv("HCSCHED_FASTPATH"));
-  return enabled;
+  // (ScopedMode is the runtime override).
+  static std::atomic<bool> flag{
+      env_value_enables(std::getenv("HCSCHED_FASTPATH"))};
+  return flag;
 }
 
 }  // namespace
@@ -34,23 +30,15 @@ bool env_value_enables(const char* value) noexcept {
          lowered != "no";
 }
 
-Mode mode() noexcept { return mode_flag().load(std::memory_order_relaxed); }
-
-void set_mode(Mode mode) noexcept {
-  mode_flag().store(mode, std::memory_order_relaxed);
+bool enabled() noexcept {
+  return switch_flag().load(std::memory_order_relaxed);
 }
 
-bool enabled() noexcept {
-  if (!compiled()) return false;
-  switch (mode()) {
-    case Mode::kForceOn:
-      return true;
-    case Mode::kForceOff:
-      return false;
-    case Mode::kAuto:
-      break;
-  }
-  return env_default();
+ScopedMode::ScopedMode(bool on) noexcept
+    : previous_(switch_flag().exchange(on, std::memory_order_relaxed)) {}
+
+ScopedMode::~ScopedMode() {
+  switch_flag().store(previous_, std::memory_order_relaxed);
 }
 
 }  // namespace hcsched::heuristics::fastpath

@@ -12,15 +12,11 @@
 // exactly (docs/FASTPATH.md states the invariant and the equivalence
 // guarantee; tests/test_fastpath_differential.cpp enforces it).
 //
-// Switches, in precedence order:
-//   * CMake: -DHCSCHED_FASTPATH=OFF compiles the dispatch default to the
-//     reference path; the kernel itself stays built so the differential
-//     suite can always compare both paths.
-//   * API: set_mode(Mode::kForceOn / kForceOff) — process-wide override
-//     (ScopedMode is the RAII form used by tests, benches and the study
-//     driver). Not intended for concurrent flipping from multiple threads.
-//   * Environment: HCSCHED_FASTPATH=0/off/false/no disables dispatch when
-//     the mode is kAuto (read once, at first query).
+// One switch: enabled() reads a process-wide on/off value, initialised once
+// from the HCSCHED_FASTPATH environment variable (0/off/false/no disable,
+// anything else enables). ScopedMode overrides it for a scope, which is how
+// the differential tests run both paths. Not intended for concurrent
+// flipping from multiple threads.
 #pragma once
 
 #include <span>
@@ -30,43 +26,26 @@
 #include "heuristics/sufferage.hpp"
 #include "heuristics/swa.hpp"
 
-#ifndef HCSCHED_FASTPATH
-#define HCSCHED_FASTPATH 1
-#endif
-
 namespace hcsched::heuristics::fastpath {
 
-enum class Mode : std::uint8_t {
-  kAuto,      ///< compile-time default, overridable by HCSCHED_FASTPATH env
-  kForceOn,   ///< dispatch to the kernel (no-op when compiled() is false)
-  kForceOff,  ///< dispatch to the reference implementation
-};
-
-/// Whether the build's dispatch default allows the fast path at all
-/// (-DHCSCHED_FASTPATH). The kernel function below is compiled either way.
-constexpr bool compiled() noexcept { return HCSCHED_FASTPATH != 0; }
-
-Mode mode() noexcept;
-void set_mode(Mode mode) noexcept;
-
-/// True when detail::two_phase_greedy should dispatch to the kernel:
-/// compiled() and not forced off and (forced on or the environment default).
+/// True when the fastpath-covered heuristics should dispatch to their
+/// kernels rather than the reference loops.
 bool enabled() noexcept;
 
 /// Parses an HCSCHED_FASTPATH environment value: "0", "off", "false", "no"
 /// (case-insensitive) disable; everything else (including null) enables.
 bool env_value_enables(const char* value) noexcept;
 
-/// RAII mode override, restoring the previous mode on scope exit.
+/// RAII override of the switch, restoring the previous value on scope exit.
 class ScopedMode {
  public:
-  explicit ScopedMode(Mode m) noexcept : previous_(mode()) { set_mode(m); }
-  ~ScopedMode() { set_mode(previous_); }
+  explicit ScopedMode(bool on) noexcept;
+  ~ScopedMode();
   ScopedMode(const ScopedMode&) = delete;
   ScopedMode& operator=(const ScopedMode&) = delete;
 
  private:
-  Mode previous_;
+  bool previous_;
 };
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "heuristics/fastpath/fastpath.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
@@ -55,15 +56,18 @@ TEST(Experiment, TheoremHeuristicsNeverChangeUnderDeterministicTies) {
 
 TEST(Experiment, StudyStatisticsIdenticalUnderBothDispatchPaths) {
   // The fastpath knob may change study wall-clock, never study statistics:
-  // both forced modes must reproduce identical aggregates trial for trial.
+  // both dispatch paths must reproduce identical aggregates trial for trial.
   StudyParams params = small_params();
   params.heuristics = {"Min-Min", "Max-Min", "Duplex"};
   params.tie_policy = hcsched::rng::TiePolicy::kRandom;
   ThreadPool pool(2);
-  params.fastpath = hcsched::heuristics::fastpath::Mode::kForceOff;
-  const auto ref = run_iterative_study(params, pool);
-  params.fastpath = hcsched::heuristics::fastpath::Mode::kForceOn;
-  const auto fast = run_iterative_study(params, pool);
+  using hcsched::heuristics::fastpath::ScopedMode;
+  const auto study_with = [&](bool fast) {
+    const ScopedMode scope(fast);
+    return run_iterative_study(params, pool);
+  };
+  const auto ref = study_with(false);
+  const auto fast = study_with(true);
   ASSERT_EQ(ref.size(), fast.size());
   for (std::size_t h = 0; h < ref.size(); ++h) {
     EXPECT_EQ(ref[h].machines_improved, fast[h].machines_improved);

@@ -15,7 +15,7 @@
 // load-bearing phase-two list order, and the switch surface itself.
 // docs/FASTPATH.md documents the invariant being tested.
 //
-// covers: fastpath.cpp etc_view.cpp two_phase_fast.cpp differential.cpp
+// covers: fastpath.cpp etc_view.cpp two_phase_fast.cpp
 // minscan.cpp arena.hpp workspace.cpp reuse.cpp sufferage_fast.cpp
 // kpb_fast.cpp swa_fast.cpp kernel_table.cpp
 // (stems named for the fastpath-differential lint rule)
@@ -32,7 +32,6 @@
 #include "etc/cvb_generator.hpp"
 #include "etc/etc_matrix.hpp"
 #include "heuristics/duplex.hpp"
-#include "heuristics/fastpath/differential.hpp"
 #include "heuristics/fastpath/etc_view.hpp"
 #include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/kpb.hpp"
@@ -43,6 +42,7 @@
 #include "obs/counters.hpp"
 #include "rng/rng.hpp"
 #include "rng/tie_break.hpp"
+#include "support/differential.hpp"
 
 namespace {
 
@@ -51,7 +51,6 @@ using fastpath::DifferentialCase;
 using fastpath::DifferentialOutcome;
 using fastpath::Kernel;
 using fastpath::KernelInfo;
-using fastpath::Mode;
 using fastpath::ScopedMode;
 using hcsched::etc::Consistency;
 using hcsched::etc::EtcMatrix;
@@ -468,14 +467,14 @@ TEST(FastpathDifferential, IterativeTechniqueIdenticalUnderBothPaths) {
       const auto heuristic = hcsched::heuristics::make_heuristic(name);
       const hcsched::core::IterativeMinimizer minimizer;
 
-      const auto run_with = [&](Mode mode, std::uint64_t tie_seed) {
-        const ScopedMode scope(mode);
+      const auto run_with = [&](bool fast_path, std::uint64_t tie_seed) {
+        const ScopedMode scope(fast_path);
         Rng tie_rng(tie_seed);
         TieBreaker ties(tie_rng);
         return minimizer.run(*heuristic, problem, ties);
       };
-      const auto ref = run_with(Mode::kForceOff, seed * 31);
-      const auto fast = run_with(Mode::kForceOn, seed * 31);
+      const auto ref = run_with(false, seed * 31);
+      const auto fast = run_with(true, seed * 31);
 
       ASSERT_EQ(ref.iterations.size(), fast.iterations.size())
           << name << " seed " << seed;
@@ -501,7 +500,7 @@ TEST(FastpathDifferential, PaperExamplesGoldenPinsUnderFastpath) {
   // they must keep matching with the kernels forced on. Min-Min, Max-Min,
   // Sufferage, KPB and SWA all dispatch through kernels now, so this pins
   // the whole dispatch surface against hand-checked tables.
-  const ScopedMode scope(Mode::kForceOn);
+  const ScopedMode scope(true);
   for (const auto& example : hcsched::core::all_paper_examples()) {
     const auto result = hcsched::core::run_paper_example(example);
     EXPECT_TRUE(hcsched::core::example_matches(example, result))
@@ -518,14 +517,14 @@ TEST(FastpathDifferential, PhaseTwoTieBreaksInOriginalTaskOrder) {
   // flip the tie to t2, and hand t1 a different machine — a different
   // mapping, not just a different order.
   const EtcMatrix m = EtcMatrix::from_rows({{1, 10}, {4, 3}, {9, 3}});
-  const auto run = [&](Mode mode) {
-    const ScopedMode scope(mode);
+  const auto run = [&](bool fast) {
+    const ScopedMode scope(fast);
     TieBreaker ties;
     return hcsched::heuristics::detail::two_phase_greedy(
         Problem::full(m), ties, /*prefer_largest=*/false);
   };
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const Schedule s = run(mode);
+  for (const bool fast : {false, true}) {
+    const Schedule s = run(fast);
     const auto& order = s.assignment_order();
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0].task, 0);
@@ -536,6 +535,24 @@ TEST(FastpathDifferential, PhaseTwoTieBreaksInOriginalTaskOrder) {
     EXPECT_EQ(s.machine_of(2), std::optional<hcsched::sched::MachineId>(1));
     EXPECT_DOUBLE_EQ(s.makespan(), 6.0);
   }
+}
+
+TEST(FastpathDifferential, DescribeIsOneLineRepro) {
+  DifferentialCase c;
+  c.seed = 7;
+  c.tasks = 24;
+  c.machines = 6;
+  c.consistency = Consistency::kSemiConsistent;
+  c.policy = TiePolicy::kRandom;
+  c.kernel = Kernel::kSufferage;
+  EXPECT_EQ(fastpath::describe(c),
+            "seed=7 t=24 m=6 consistency=semi-consistent policy=random "
+            "heuristic=Sufferage");
+  c.subset = true;
+  c.iterative = true;
+  EXPECT_EQ(fastpath::describe(c),
+            "seed=7 t=24 m=6 consistency=semi-consistent policy=random "
+            "heuristic=Sufferage subset iterative");
 }
 
 TEST(FastpathDifferential, EtcViewIsVerbatimCopyOfProblemCells) {
@@ -590,19 +607,17 @@ TEST(FastpathSwitch, EnvValueParsing) {
 }
 
 TEST(FastpathSwitch, ScopedModeForcesAndRestores) {
-  const Mode original = fastpath::mode();
+  const bool original = fastpath::enabled();
   {
-    const ScopedMode off(Mode::kForceOff);
-    EXPECT_EQ(fastpath::mode(), Mode::kForceOff);
+    const ScopedMode off(false);
     EXPECT_FALSE(fastpath::enabled());
     {
-      const ScopedMode on(Mode::kForceOn);
-      EXPECT_EQ(fastpath::mode(), Mode::kForceOn);
-      EXPECT_EQ(fastpath::enabled(), fastpath::compiled());
+      const ScopedMode on(true);
+      EXPECT_TRUE(fastpath::enabled());
     }
-    EXPECT_EQ(fastpath::mode(), Mode::kForceOff);
+    EXPECT_FALSE(fastpath::enabled());
   }
-  EXPECT_EQ(fastpath::mode(), original);
+  EXPECT_EQ(fastpath::enabled(), original);
 }
 
 TEST(FastpathSwitch, DispatcherFollowsMode) {
@@ -618,8 +633,8 @@ TEST(FastpathSwitch, DispatcherFollowsMode) {
   }();
   const Problem problem = Problem::full(m);
 #if HCSCHED_TRACE
-  const auto evals_under = [&](Mode mode) {
-    const ScopedMode scope(mode);
+  const auto evals_under = [&](bool fast) {
+    const ScopedMode scope(fast);
     TieBreaker ties;
     constexpr auto kCells = hcsched::obs::Counter::kEtcCellEvaluations;
     const std::uint64_t before = hcsched::obs::counters::read(kCells);
@@ -627,17 +642,11 @@ TEST(FastpathSwitch, DispatcherFollowsMode) {
                                                         false);
     return hcsched::obs::counters::read(kCells) - before;
   };
-  if (fastpath::compiled()) {
-    EXPECT_LT(evals_under(Mode::kForceOn), evals_under(Mode::kForceOff));
-  } else {
-    // -DHCSCHED_FASTPATH=OFF: kForceOn is a documented no-op and both
-    // dispatches run the reference loop.
-    EXPECT_EQ(evals_under(Mode::kForceOn), evals_under(Mode::kForceOff));
-  }
+  EXPECT_LT(evals_under(true), evals_under(false));
 #else
   // Without counters just exercise both dispatch directions.
-  for (const Mode mode : {Mode::kForceOff, Mode::kForceOn}) {
-    const ScopedMode scope(mode);
+  for (const bool fast : {false, true}) {
+    const ScopedMode scope(fast);
     TieBreaker ties;
     EXPECT_TRUE(hcsched::heuristics::detail::two_phase_greedy(problem, ties,
                                                               false)

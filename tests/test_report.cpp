@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "report/csv.hpp"
 #include "report/gantt.hpp"
 #include "report/table.hpp"
 
 namespace {
 
-using hcsched::report::CsvWriter;
 using hcsched::report::render_gantt;
 using hcsched::report::TextTable;
 
@@ -89,21 +85,6 @@ TEST(Gantt, EmptyMachineStillListed) {
   const std::string g = render_gantt(s);
   EXPECT_NE(g.find("m1 |"), std::string::npos);
   EXPECT_NE(g.find("CT = 0"), std::string::npos);
-}
-
-TEST(Csv, EscapesSpecialCells) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, WritesRows) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.write_row({"h1", "h2"});
-  w.write_row({"1", "a,b"});
-  EXPECT_EQ(os.str(), "h1,h2\n1,\"a,b\"\n");
 }
 
 }  // namespace

@@ -13,9 +13,14 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "core/iterative.hpp"
+#include "etc/etc_matrix.hpp"
+#include "heuristics/registry.hpp"
 #include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "rng/tie_break.hpp"
+#include "sched/problem.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/thread_pool.hpp"
@@ -110,6 +115,35 @@ TEST(Spans, StudyEmitsWellFormedTree) {
     }
   }
   EXPECT_EQ(trial_traces.size(), 3u);
+}
+
+TEST(Spans, IterationMachineLabels) {
+  if (!obs::kTraceCompiledIn) {
+    GTEST_SKIP() << "library built with HCSCHED_TRACE=0";
+  }
+  auto ring = std::make_shared<obs::RingBufferSink>(1 << 10);
+  const obs::ScopedSink scope(ring);
+  // The paper's Table 1 matrix: three iterations, each with a makespan
+  // machine whose span attribute reads "m<id>".
+  const etc::EtcMatrix m =
+      etc::EtcMatrix::from_rows({{5, 9, 9}, {9, 1, 2}, {9, 1, 9}, {9, 9, 4}});
+  const auto heuristic = heuristics::make_heuristic("Min-Min");
+  rng::TieBreaker ties;
+  const core::IterativeResult result = core::IterativeMinimizer().run(
+      *heuristic, sched::Problem::full(m), ties);
+
+  std::vector<std::string> labels;
+  for (const obs::TraceEvent& event : ring->events_named("span")) {
+    const obs::JsonValue json = event.to_json();
+    if (json.at("name").as_string() == "iteration") {
+      labels.push_back(json.at("makespan_machine").as_string());
+    }
+  }
+  ASSERT_EQ(labels.size(), result.iterations.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], std::string(1, 'm') += std::to_string(
+                             result.iterations[i].makespan_machine));
+  }
 }
 
 TEST(Spans, SeededTracesAreDeterministicAcrossRuns) {

@@ -27,9 +27,9 @@
 #include <string_view>
 
 #include "etc/consistency.hpp"
-#include "heuristics/fastpath/differential.hpp"
 #include "rng/rng.hpp"
 #include "rng/tie_break.hpp"
+#include "support/differential.hpp"
 
 namespace {
 

@@ -29,8 +29,6 @@
 //
 // Global flags (any subcommand):
 //   --trace FILE.jsonl   stream structured events (JSON Lines) to FILE
-//   --no-fastpath        force the reference two-phase greedy loop (the
-//                        HCSCHED_FASTPATH env var does the same for kAuto)
 //   --fault SPEC[,SPEC]  arm fault injection, SPEC = <site>:<rate>[:<seed>]
 //                        (the HCSCHED_FAULT env var does the same); see
 //                        docs/ROBUSTNESS.md for the site registry
@@ -77,7 +75,6 @@
 #include "etc/cvb_generator.hpp"
 #include "etc/etc_io.hpp"
 #include "etc/range_generator.hpp"
-#include "heuristics/fastpath/fastpath.hpp"
 #include "heuristics/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -101,8 +98,7 @@ using namespace hcsched;
 
 /// Flags every subcommand accepts.
 const std::set<std::string>& global_flags() {
-  static const std::set<std::string> flags = {"trace", "no-fastpath",
-                                              "fault"};
+  static const std::set<std::string> flags = {"trace", "fault"};
   return flags;
 }
 
@@ -121,8 +117,8 @@ class Args {
         return;
       }
       key = key.substr(2);
-      if (key == "no-seeding" || key == "json" || key == "gap" ||
-          key == "no-fastpath") {  // boolean flags
+      if (key == "no-seeding" || key == "json" ||
+          key == "gap") {  // boolean flags
         values_[key] = "true";
         continue;
       }
@@ -199,7 +195,6 @@ void print_usage(std::FILE* out) {
       "<list|generate|map|iterate|report|study|sweep|stats|witness|optimal|"
       "online> [--flags]\n"
       "global flags: --trace FILE.jsonl (stream structured events), "
-      "--no-fastpath (reference two-phase greedy loop), "
       "--fault <site>:<rate>[:<seed>] (arm fault injection), --version\n"
       "see the header of tools/hcsched_cli.cpp for the full flag list\n");
 }
@@ -231,9 +226,27 @@ int cmd_list() {
   return 0;
 }
 
+/// A flag value outside its documented range: main() prints the error and
+/// the usage line and exits 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// --`key` as a count of at least `min` (UsageError below it).
+std::size_t count_flag(const Args& args, const std::string& key,
+                       long long fallback, long long min) {
+  const long long value = args.get_ll(key, fallback);
+  if (value < min) {
+    throw UsageError("--" + key + " must be at least " + std::to_string(min) +
+                     ", got " + std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 int cmd_generate(const Args& args) {
-  const auto tasks = static_cast<std::size_t>(args.get_ll("tasks", 16));
-  const auto machines = static_cast<std::size_t>(args.get_ll("machines", 4));
+  const std::size_t tasks = count_flag(args, "tasks", 16, 0);
+  const std::size_t machines = count_flag(args, "machines", 4, 1);
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
 
   etc::EtcMatrix matrix;
@@ -390,24 +403,6 @@ RobustnessSetup make_robustness(const Args& args) {
   return setup;
 }
 
-/// A flag value outside its documented range: main() prints the error and
-/// the usage line and exits 2.
-class UsageError : public std::invalid_argument {
- public:
-  using std::invalid_argument::invalid_argument;
-};
-
-/// --`key` as a count of at least `min` (UsageError below it).
-std::size_t count_flag(const Args& args, const std::string& key,
-                       long long fallback, long long min) {
-  const long long value = args.get_ll(key, fallback);
-  if (value < min) {
-    throw UsageError("--" + key + " must be at least " + std::to_string(min) +
-                     ", got " + std::to_string(value));
-  }
-  return static_cast<std::size_t>(value);
-}
-
 sim::StudyParams study_params_from(const Args& args) {
   sim::StudyParams params;
   params.heuristics = {"MET",       "MCT", "Min-Min", "Genitor", "SWA",
@@ -558,14 +553,13 @@ int cmd_witness(const Args& args) {
   if (!name) throw std::invalid_argument("--heuristic NAME is required");
   const auto heuristic = heuristics::make_heuristic(*name);
   core::WitnessSpec spec;
-  spec.num_tasks = static_cast<std::size_t>(args.get_ll("tasks", 6));
-  spec.num_machines = static_cast<std::size_t>(args.get_ll("machines", 3));
+  spec.num_tasks = count_flag(args, "tasks", 6, 0);
+  spec.num_machines = count_flag(args, "machines", 3, 1);
   spec.half_integers = true;
   spec.policy = args.get_or("ties", "det") == "random"
                     ? rng::TiePolicy::kRandom
                     : rng::TiePolicy::kDeterministic;
-  const auto max_trials =
-      static_cast<std::size_t>(args.get_ll("max-trials", 200000));
+  const std::size_t max_trials = count_flag(args, "max-trials", 200000, 0);
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 42)));
   const auto witness =
       core::find_makespan_increase_witness(*heuristic, spec, rng, max_trials);
@@ -613,8 +607,8 @@ int cmd_online(const Args& args) {
   }
   rng::Rng rng(static_cast<std::uint64_t>(args.get_ll("seed", 1)));
   const auto stream = sim::make_arrival_stream(
-      static_cast<std::size_t>(args.get_ll("count", 32)),
-      args.get_d("mean-gap", 10.0), matrix.num_tasks(), rng);
+      count_flag(args, "count", 32, 0), args.get_d("mean-gap", 10.0),
+      matrix.num_tasks(), rng);
   const sim::OnlineDispatcher dispatcher(config);
   rng::TieBreaker ties = make_ties(args, rng);
   const auto result = dispatcher.run(
@@ -703,9 +697,6 @@ int main(int argc, char** argv) {
   std::optional<obs::ScopedSink> trace_scope;
   try {
     args.finish();  // reject undeclared flags with a non-zero exit
-    if (args.get("no-fastpath")) {
-      heuristics::fastpath::set_mode(heuristics::fastpath::Mode::kForceOff);
-    }
     if (const auto fault_specs = args.get("fault")) {
       std::string_view specs(*fault_specs);
       while (!specs.empty()) {
